@@ -4,10 +4,12 @@
     profile-guided rule order) has something measurable to move.
 
     Every generator returns complete, annotated C source that the
-    frontend accepts and the checker verifies; the benchmark harness and
-    [test/test_memo.ml] both consume these, so each family doubles as a
-    semantics fixture — any engine configuration must produce the same
-    verdict on all of them.
+    frontend accepts and the checker verifies.  The tests consume these
+    ([test/test_memo.ml], [test/test_incremental.ml],
+    [test/test_analysis.ml]), so each family doubles as a semantics
+    fixture — any engine configuration must produce the same verdict on
+    all of them.  The repository benchmark ([perfbench/gen.ml]) keeps
+    its own copies of these shapes.
 
     Families (mirroring the shapes the case studies exhibit in miniature):
     - {!diamond_chain}: k sequential if/else diamonds whose join blocks
@@ -293,11 +295,9 @@ let lock_farm ?(racy = 0) ?(hoisted = 0) ~(functions : int) () : string =
 (** One named stress program: [(name, c_source)]. *)
 type program = { p_name : string; p_src : string }
 
-(** The standard stress corpus at a given [scale] (1 = the CI smoke
-    size, 2 = the BENCH_pr7 size).  Sizes are chosen so the diamond
-    family's exponential blow-up stays around a second at scale 2 with
-    memoization off — large enough to measure, small enough to run four
-    configurations interleaved. *)
+(** The standard stress corpus at a given [scale] (1 = the test size).
+    Sizes are chosen so the diamond family's exponential blow-up stays
+    around a second at scale 2 with memoization off. *)
 let stress_corpus ~(scale : int) : program list =
   let s = max 1 scale in
   [
@@ -311,21 +311,3 @@ let stress_corpus ~(scale : int) : program list =
     { p_name = "wide_exprs.c"; p_src = wide_exprs ~stmts:(10 * s) ~width:3 };
     { p_name = "loop_farm.c"; p_src = loop_farm ~functions:(8 * s) () };
   ]
-
-(** The diamond sizes for the speedup-curve section of the perf record:
-    memo-off cost doubles per step, so the curve makes the asymptotic
-    gap visible rather than a single point. *)
-let curve_sizes ~(scale : int) : int list =
-  if scale <= 1 then [ 4; 6; 8 ] else [ 6; 8; 10; 12 ]
-
-(** Write a corpus to [dir] (created if missing); returns the file
-    paths in corpus order. *)
-let materialize ~(dir : string) (progs : program list) : string list =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  List.map
-    (fun p ->
-      let path = Filename.concat dir p.p_name in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc p.p_src);
-      path)
-    progs

@@ -13,21 +13,13 @@
 
    Run with:  dune exec bench/main.exe -- [--time] [--ablations] [--all]
 
-   [--json [--json-out PATH] [-j N] [--cache DIR]] instead measures the
-   full corpus end-to-end under six configurations — sequential,
-   parallel (-j, transient per-run pool), persistent supervised pool
-   (one pool for the whole corpus, warmed before timing — the
-   configuration the CLI actually runs), cold cache, warm cache, and a
-   metrics-instrumented sequential pass that contributes the per-phase
-   timing breakdown — and writes a machine-readable perf record
-   (default BENCH_pr6.json; schema documented in README.md) so the
-   repo's performance trajectory accumulates as data, one record per
-   PR. *)
+   With no flag it prints the table, the timing and the ablations.
+   Performance is measured by the repository benchmark in perfbench/
+   (see perfbench/README.md), not here. *)
 
 module Driver = Rc_frontend.Driver
 module Stats = Rc_lithium.Stats
 module Api = Rc_session.Refinedc_api
-module Supervisor = Rc_util.Supervisor
 
 (* Each checked file gets a fresh case-study session: elaboration adds
    the file's C-declared named types to the session's own type
@@ -303,1186 +295,22 @@ let ablations (rows : row list) =
      pure reasoning)@."
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable perf record (--json)                               *)
-(* ------------------------------------------------------------------ *)
-
-(* One corpus pass under a given configuration.  Studies are checked in
-   corpus order, each under a fresh session; [jobs] fans the *functions*
-   of each study across the domain pool. *)
-
-type jstudy = {
-  j_study : study;
-  j_ok : bool;
-  j_wall_s : float;  (** end-to-end: parse + elaborate + check *)
-  j_functions : int;
-  j_stats : Stats.t;
-  j_hits : int;
-  j_misses : int;
-  j_phases : (string * float) list;
-      (** per-phase wall seconds (parse/elab/lint/check), from the
-          metrics registry; empty unless the pass is instrumented *)
-  j_diags : int;
-      (** diagnostics reported by the frontend + lint pre-pass (the
-          corpus is expected to stay problem-free; the count tracks
-          notes/hints drift) *)
-}
-
-let measure_study ?(instrument = false) ?pool ~jobs ?cache (s : study) :
-    jstudy =
-  let path = Filename.concat case_dir s.file in
-  let session =
-    if instrument then
-      Rc_refinedc.Session.with_obs (studies_session ())
-        { Rc_util.Obs.c_trace = false; c_metrics = true }
-    else studies_session ()
-  in
-  let session =
-    match pool with
-    | None -> session
-    | Some _ ->
-        Rc_refinedc.Session.with_exec session
-          { Rc_refinedc.Session.default_exec with x_pool = pool }
-  in
-  let watch = Rc_util.Budget.stopwatch () in
-  match Driver.check_file ~session ~jobs ?cache path with
-  | t ->
-      let hits, misses =
-        match t.Driver.cache_stats with Some hm -> hm | None -> (0, 0)
-      in
-      let phases =
-        List.map
-          (fun (name, _count, total_ns) ->
-            (name, Int64.to_float total_ns /. 1e9))
-          (Rc_util.Metrics.timers_with_prefix
-             (Rc_util.Obs.mx t.Driver.obs)
-             ~prefix:"phase.")
-      in
-      {
-        j_study = s;
-        j_ok = Driver.errors t = [] && t.Driver.skipped = [];
-        j_wall_s = watch ();
-        j_functions = List.length t.Driver.results;
-        j_stats = Driver.stats t;
-        j_hits = hits;
-        j_misses = misses;
-        j_phases = phases;
-        j_diags = List.length t.Driver.diagnostics;
-      }
-  | exception _ ->
-      {
-        j_study = s;
-        j_ok = false;
-        j_wall_s = watch ();
-        j_functions = 0;
-        j_stats = Stats.create ();
-        j_hits = 0;
-        j_misses = 0;
-        j_phases = [];
-        j_diags = 0;
-      }
-
-let run_to_json ~mode ~jobs ~cached (studies : jstudy list) :
-    float * Rc_util.Jsonout.t =
-  let open Rc_util.Jsonout in
-  let total = List.fold_left (fun a r -> a +. r.j_wall_s) 0. studies in
-  let hits = Rc_util.Xlist.sum (List.map (fun r -> r.j_hits) studies) in
-  let misses = Rc_util.Xlist.sum (List.map (fun r -> r.j_misses) studies) in
-  let study_json r =
-    Obj
-      ([
-        ("class", Str r.j_study.cls);
-        ("name", Str r.j_study.name);
-        ("file", Str r.j_study.file);
-        ("ok", Bool r.j_ok);
-        ("wall_s", Float r.j_wall_s);
-        ("functions", Int r.j_functions);
-        ("rule_apps", Int r.j_stats.Stats.rule_apps);
-        ("distinct_rules", Int (Stats.distinct_rules r.j_stats));
-        ("evar_insts", Int r.j_stats.Stats.evar_insts);
-        ("side_auto", Int r.j_stats.Stats.side_auto);
-        ("side_manual", Int r.j_stats.Stats.side_manual);
-        ("cache_hits", Int r.j_hits);
-        ("cache_misses", Int r.j_misses);
-        ("diagnostics", Int r.j_diags);
-      ]
-      @
-      match r.j_phases with
-      | [] -> []
-      | ps ->
-          [ ("phases_s", Obj (List.map (fun (n, s) -> (n, Float s)) ps)) ]
-      )
-  in
-  ( total,
-    Obj
-      [
-        ("mode", Str mode);
-        ("jobs", Int jobs);
-        ("cache", Bool cached);
-        ("total_wall_s", Float total);
-        ("ok", Bool (List.for_all (fun r -> r.j_ok) studies));
-        ("cache_hits", Int hits);
-        ("cache_misses", Int misses);
-        ( "cache_hit_rate",
-          Float
-            (if hits + misses = 0 then 0.
-             else float_of_int hits /. float_of_int (hits + misses)) );
-        ("studies", List (List.map study_json studies));
-      ] )
-
-let json_record ~jobs ~cache_dir ~out () =
-  let open Rc_util.Jsonout in
-  (* each pass is measured [reps] times and the fastest corpus sweep is
-     recorded — the usual minimum-of-N defence against scheduler noise,
-     which matters here because entire sweeps take tens of ms *)
-  (* one corpus sweep under a configuration *)
-  let sweep ?instrument ?pool ~mode ~jobs ?cache () =
-    run_to_json ~mode ~jobs ~cached:(cache <> None)
-      (List.map (measure_study ?instrument ?pool ~jobs ?cache) corpus)
-  in
-  (* the configuration the CLI actually runs since the supervisor
-     landed: [-j] clamped to the core count, and when that still leaves
-     parallelism, one pool of worker domains spawned before any
-     checking and reused for every file.  On a single-core host the
-     clamp degrades all the way to inline sequential execution — the
-     fastest thing that host can do (the transient-pool "parallel" mode
-     records what the per-run path costs after the same clamp). *)
-  let eff_jobs = min jobs (Supervisor.recommended_jobs ()) in
-  let with_pool k =
-    if eff_jobs > 1 && Supervisor.parallelism_available then begin
-      let pool = Supervisor.create ~jobs:eff_jobs () in
-      Fun.protect
-        ~finally:(fun () -> Supervisor.shutdown pool)
-        (fun () -> k (Some pool))
-    end
-    else k None
-  in
-  with_pool @@ fun pool ->
-  (* make the cold pass genuinely cold even if the directory survives a
-     previous bench run *)
-  if Sys.file_exists cache_dir && Sys.is_directory cache_dir then
-    Array.iter
-      (fun f ->
-        if Filename.check_suffix f ".vc" then
-          try Sys.remove (Filename.concat cache_dir f) with Sys_error _ -> ())
-      (Sys.readdir cache_dir);
-  let cache = Rc_util.Vercache.create cache_dir in
-  (* cold is single-shot by nature: a second sweep would be warm *)
-  Fmt.pr "  measuring: cold_cache      (-j %d, single shot)@." jobs;
-  let _, cold = sweep ~mode:"cold_cache" ~jobs ~cache () in
-  (* The five comparable configurations are measured in interleaved
-     rounds — every round sweeps each mode once — and each mode keeps
-     its fastest round.  Interleaving means a noisy window (another
-     process, a slow timer tick) lands on every mode instead of
-     falsifying whichever block pass it happened to overlap; the
-     per-mode minimum then converges on the true floor.  The
-     metrics-instrumented sequential mode contributes the per-phase
-     (parse/elab/check) timing breakdown while the uninstrumented modes
-     stay comparable with pre-observability records.  Round 1 doubles
-     as warm-up (pool dispatch paths, cache pages); the minimum
-     discards it unless it was already the fastest. *)
-  let reps = 9 in
-  let modes =
-    [
-      ("sequential", fun () -> sweep ~mode:"sequential" ~jobs:1 ());
-      ( "persistent_pool",
-        fun () -> sweep ?pool ~mode:"persistent_pool" ~jobs:eff_jobs () );
-      ("parallel", fun () -> sweep ~mode:"parallel" ~jobs ());
-      ("warm_cache", fun () -> sweep ~mode:"warm_cache" ~jobs ~cache ());
-      ( "instrumented",
-        fun () -> sweep ~instrument:true ~mode:"instrumented" ~jobs:1 () );
-    ]
-  in
-  Fmt.pr "  measuring: %d modes x %d interleaved rounds@." (List.length modes)
-    reps;
-  let best : (string, float * Rc_util.Jsonout.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let rounds : (string * float) list array = Array.make reps [] in
-  for round = 0 to reps - 1 do
-    (* odd rounds sweep the modes in reverse so that no mode always
-       occupies the same position relative to its comparison partner —
-       any slow drift across a round then biases both directions
-       equally *)
-    let order = if round mod 2 = 0 then modes else List.rev modes in
-    rounds.(round) <-
-      List.map
-        (fun (key, f) ->
-          (* equalized heap at every sweep so mode order cannot leak in *)
-          Gc.compact ();
-          let r = f () in
-          (match Hashtbl.find_opt best key with
-          | Some (w, _) when w <= fst r -> ()
-          | _ -> Hashtbl.replace best key r);
-          (key, fst r))
-        order
-  done;
-  let get key = Hashtbl.find best key in
-  let seq_wall, seq = get "sequential" in
-  let par_wall, par = get "parallel" in
-  let pp_wall, pp = get "persistent_pool" in
-  let warm_wall, warm = get "warm_cache" in
-  let _instr_wall, instr = get "instrumented" in
-  (* Speedups are the median across rounds of the *within-round* ratio:
-     both sweeps of a pair ran back-to-back in the same round, so
-     round-level noise (a busy neighbour, a timer hiccup) hits
-     numerator and denominator together and largely cancels, and the
-     median is immune to the occasional sweep that lands in a slow
-     window — where a ratio of two independently-taken minima (or of
-     sums, which inherit every upward outlier) would not be. *)
-  let ratio_vs_sequential key =
-    let ratios =
-      Array.to_list rounds
-      |> List.filter_map (fun round ->
-             match
-               (List.assoc_opt "sequential" round, List.assoc_opt key round)
-             with
-             | Some s, Some m when m > 0. -> Some (s /. m)
-             | _ -> None)
-      |> List.sort compare
-    in
-    match ratios with
-    | [] -> 0.
-    | rs -> List.nth rs (List.length rs / 2)
-  in
-  let record =
-    Obj
-      [
-        ("schema", Str "refinedc-bench/3");
-        ("ocaml", Str Sys.ocaml_version);
-        ("word_size", Int Sys.word_size);
-        ("parallelism_available", Bool Rc_util.Pool.parallelism_available);
-        ("jobs", Int jobs);
-        ("jobs_effective", Int eff_jobs);
-        ("cores", Int (Supervisor.recommended_jobs ()));
-        ("corpus_studies", Int (List.length corpus));
-        ( "stdlib",
-          Obj
-            (let s = studies_session () in
-             [
-               ( "typing_rules",
-                 Int (Rc_refinedc.Rules.count s.Rc_refinedc.Session.index) );
-               ( "named_types",
-                 Int (Hashtbl.length s.Rc_refinedc.Session.tenv) );
-             ]) );
-        ("runs", List [ seq; par; pp; cold; warm; instr ]);
-        ( "speedup",
-          Obj
-            [
-              ("parallel_vs_sequential", Float (ratio_vs_sequential "parallel"));
-              ( "persistent_pool_vs_sequential",
-                Float (ratio_vs_sequential "persistent_pool") );
-              ( "warm_cache_vs_sequential",
-                Float (ratio_vs_sequential "warm_cache") );
-              ( "instrumented_vs_sequential",
-                Float
-                  (let r = ratio_vs_sequential "instrumented" in
-                   if r > 0. then 1. /. r else 0.) );
-            ] );
-      ]
-  in
-  Out_channel.with_open_bin out (fun oc ->
-      Out_channel.output_string oc (Rc_util.Jsonout.to_string record);
-      Out_channel.output_string oc "\n");
-  Fmt.pr
-    "@.Perf record written to %s@.  sequential %.3fs, parallel (-j %d) \
-     %.3fs, persistent pool %.3fs, warm cache %.3fs@."
-    out seq_wall jobs par_wall pp_wall warm_wall;
-  List.for_all
-    (fun j ->
-      match j with
-      | Obj fields -> (
-          match List.assoc_opt "ok" fields with
-          | Some (Bool b) -> b
-          | _ -> false)
-      | _ -> false)
-    [ seq; par; pp; cold; warm; instr ]
-
-(* ------------------------------------------------------------------ *)
-(* Stress corpus (--stress): engine-speed measurement                  *)
-(* ------------------------------------------------------------------ *)
-
-(* [--stress [--scale N] [-j N] [--json-out PATH]] generates the
-   synthetic stress corpus (bench/corpus.ml), proves verdict
-   byte-identity across the four engine configurations, then measures
-   rule-applications/second for each configuration — sequentially and
-   under the persistent pool — plus a diamond-size speedup curve, and
-   writes a refinedc-bench/4 record (default BENCH_pr7.json).
-
-   Rule-applications/second is the honest work metric here because the
-   Stats satellite guarantees [rule_apps] is identical with and without
-   memoization (hits merge the subsumed applications); the apps/sec
-   ratio therefore equals the wall-clock ratio on identical work. *)
-
-module Corpus = Rc_benchgen.Corpus
-
-type engine_cfg = { cfg_name : string; cfg_hashcons : bool; cfg_memo : bool }
-
-let engine_cfgs =
-  [
-    { cfg_name = "baseline"; cfg_hashcons = false; cfg_memo = false };
-    { cfg_name = "hashcons"; cfg_hashcons = true; cfg_memo = false };
-    { cfg_name = "memo"; cfg_hashcons = false; cfg_memo = true };
-    { cfg_name = "memo_hashcons"; cfg_hashcons = true; cfg_memo = true };
-  ]
-
-(* Fresh session per check (elaboration registers the file's named types
-   in the session's type environment). *)
-let stress_session ?pool (cfg : engine_cfg) () =
-  let s =
-    Rc_refinedc.Session.with_memo (Api.create_session ())
-      {
-        Rc_refinedc.Session.default_memo with
-        Rc_refinedc.Session.mm_enabled = cfg.cfg_memo;
-        mm_hashcons = cfg.cfg_hashcons;
-      }
-  in
-  match pool with
-  | None -> s
-  | Some _ ->
-      Rc_refinedc.Session.with_exec s
-        { Rc_refinedc.Session.default_exec with x_pool = pool }
-
-type srow = {
-  s_path : string;
-  s_wall : float;
-  s_functions : int;
-  s_stats : Stats.t;
-  s_ok : bool;
-}
-
-let stress_sweep ?pool ~jobs (cfg : engine_cfg) (paths : string list) :
-    srow list =
-  List.map
-    (fun path ->
-      let watch = Rc_util.Budget.stopwatch () in
-      match Driver.check_file ~session:(stress_session ?pool cfg ()) ~jobs path with
-      | t ->
-          {
-            s_path = path;
-            s_wall = watch ();
-            s_functions = List.length t.Driver.results;
-            s_stats = Driver.stats t;
-            s_ok = (Driver.errors t = [] && t.Driver.skipped = []);
-          }
-      | exception _ ->
-          {
-            s_path = path;
-            s_wall = watch ();
-            s_functions = 0;
-            s_stats = Stats.create ();
-            s_ok = false;
-          })
-    paths
-
-let stress_record ~scale ~jobs ~out () : bool =
-  let open Rc_util.Jsonout in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "refinedc-stress"
-  in
-  let progs = Corpus.stress_corpus ~scale in
-  let paths = Corpus.materialize ~dir progs in
-  Fmt.pr "Stress corpus: %d programs (scale %d) -> %s@." (List.length progs)
-    scale dir;
-  (* 1. verdict byte-identity across all four engine configurations,
-     recorded before any timing: the speed knobs must be unobservable in
-     the result surface (--json without timings). *)
-  let verdict cfg path =
-    match Driver.check_file ~session:(stress_session cfg ()) path with
-    | t -> Rc_util.Jsonout.to_string (Driver.to_json ~timings:false t)
-    | exception e -> "exception: " ^ Printexc.to_string e
-  in
-  let identical =
-    List.for_all
-      (fun path ->
-        match List.map (fun c -> verdict c path) engine_cfgs with
-        | [] -> true
-        | v0 :: rest ->
-            let same = List.for_all (String.equal v0) rest in
-            if not same then
-              Fmt.pr "  VERDICT MISMATCH on %s@." (Filename.basename path);
-            same)
-      paths
-  in
-  Fmt.pr "  verdicts byte-identical across %d configs: %b@."
-    (List.length engine_cfgs) identical;
-  (* 2. interleaved measurement (the BENCH_pr6 methodology): every round
-     sweeps each configuration once, each configuration keeps its
-     fastest round, and speedups are medians of within-round ratios so
-     round-level noise cancels. *)
-  let reps = 5 in
-  let measure ?pool ~jobs () =
-    let best : (string, float * srow list) Hashtbl.t = Hashtbl.create 8 in
-    let rounds = Array.make reps [] in
-    for round = 0 to reps - 1 do
-      let order = if round mod 2 = 0 then engine_cfgs else List.rev engine_cfgs in
-      rounds.(round) <-
-        List.map
-          (fun cfg ->
-            Gc.compact ();
-            let rows = stress_sweep ?pool ~jobs cfg paths in
-            let total = List.fold_left (fun a r -> a +. r.s_wall) 0. rows in
-            (match Hashtbl.find_opt best cfg.cfg_name with
-            | Some (w, _) when w <= total -> ()
-            | _ -> Hashtbl.replace best cfg.cfg_name (total, rows));
-            (cfg.cfg_name, total))
-          order
-    done;
-    (best, rounds)
-  in
-  let speedup_vs_baseline rounds key =
-    let ratios =
-      Array.to_list rounds
-      |> List.filter_map (fun round ->
-             match
-               (List.assoc_opt "baseline" round, List.assoc_opt key round)
-             with
-             | Some b, Some m when m > 0. -> Some (b /. m)
-             | _ -> None)
-      |> List.sort compare
-    in
-    match ratios with
-    | [] -> 0.
-    | rs -> List.nth rs (List.length rs / 2)
-  in
-  let sum f rows = Rc_util.Xlist.sum (List.map f rows) in
-  let run_json ~mode ~jobs name (total, rows) =
-    let apps = sum (fun r -> r.s_stats.Stats.rule_apps) rows in
-    Obj
-      [
-        ("config", Str name);
-        ("mode", Str mode);
-        ("jobs", Int jobs);
-        ("ok", Bool (List.for_all (fun r -> r.s_ok) rows));
-        ("total_wall_s", Float total);
-        ("rule_apps", Int apps);
-        ( "apps_per_sec",
-          Float (if total > 0. then float_of_int apps /. total else 0.) );
-        ("memo_hits", Int (sum (fun r -> r.s_stats.Stats.memo_hits) rows));
-        ( "memo_saved_apps",
-          Int (sum (fun r -> r.s_stats.Stats.memo_saved_apps) rows) );
-        ( "programs",
-          List
-            (List.map
-               (fun r ->
-                 Obj
-                   [
-                     ("name", Str (Filename.basename r.s_path));
-                     ("ok", Bool r.s_ok);
-                     ("wall_s", Float r.s_wall);
-                     ("functions", Int r.s_functions);
-                     ("rule_apps", Int r.s_stats.Stats.rule_apps);
-                     ("memo_hits", Int r.s_stats.Stats.memo_hits);
-                   ])
-               rows) );
-      ]
-  in
-  Fmt.pr "  measuring: %d configs x %d interleaved rounds (sequential)@."
-    (List.length engine_cfgs) reps;
-  let seq_best, seq_rounds = measure ~jobs:1 () in
-  let eff_jobs = min jobs (Supervisor.recommended_jobs ()) in
-  let pool_runs, pool_speedups =
-    if eff_jobs > 1 && Supervisor.parallelism_available then begin
-      Fmt.pr "  measuring: %d configs x %d interleaved rounds (pool, -j %d)@."
-        (List.length engine_cfgs) reps eff_jobs;
-      let pool = Supervisor.create ~jobs:eff_jobs () in
-      Fun.protect
-        ~finally:(fun () -> Supervisor.shutdown pool)
-        (fun () ->
-          let best, rounds = measure ~pool ~jobs:eff_jobs () in
-          ( List.map
-              (fun cfg ->
-                run_json ~mode:"pool" ~jobs:eff_jobs cfg.cfg_name
-                  (Hashtbl.find best cfg.cfg_name))
-              engine_cfgs,
-            List.map
-              (fun cfg ->
-                ( cfg.cfg_name ^ "_vs_baseline",
-                  Float (speedup_vs_baseline rounds cfg.cfg_name) ))
-              (List.tl engine_cfgs) ))
-    end
-    else ([], [])
-  in
-  (* 3. the diamond speedup curve: memo-off cost doubles per size step,
-     so per-size apps/sec makes the asymptotic separation visible *)
-  let curve =
-    List.map
-      (fun k ->
-        let name = Printf.sprintf "curve_diamonds_%02d.c" k in
-        let path =
-          List.hd
-            (Corpus.materialize ~dir
-               [ { Corpus.p_name = name; p_src = Corpus.diamond_chain ~k } ])
-        in
-        let time cfg =
-          let best = ref infinity and stats = ref (Stats.create ()) in
-          for _ = 1 to 3 do
-            Gc.compact ();
-            let watch = Rc_util.Budget.stopwatch () in
-            match Driver.check_file ~session:(stress_session cfg ()) path with
-            | t ->
-                let w = watch () in
-                if w < !best then begin
-                  best := w;
-                  stats := Driver.stats t
-                end
-            | exception _ -> ()
-          done;
-          (!best, !stats)
-        in
-        let off_cfg = List.nth engine_cfgs 1 (* hashcons, no memo *) in
-        let on_cfg = List.nth engine_cfgs 3 (* hashcons + memo *) in
-        let off_w, off_s = time off_cfg in
-        let on_w, on_s = time on_cfg in
-        let apps = off_s.Stats.rule_apps in
-        Fmt.pr "  curve k=%-2d: %8d apps, memo off %.4fs, on %.4fs@." k apps
-          off_w on_w;
-        Obj
-          [
-            ("k", Int k);
-            ("rule_apps", Int apps);
-            ("memo_off_wall_s", Float off_w);
-            ("memo_on_wall_s", Float on_w);
-            ( "memo_off_apps_per_sec",
-              Float
-                (if off_w > 0. then float_of_int apps /. off_w else 0.) );
-            ( "memo_on_apps_per_sec",
-              Float
-                (if on_w > 0. then
-                   float_of_int on_s.Stats.rule_apps /. on_w
-                 else 0.) );
-            ( "speedup",
-              Float (if on_w > 0. then off_w /. on_w else 0.) );
-          ])
-      (Corpus.curve_sizes ~scale)
-  in
-  let seq_runs =
-    List.map
-      (fun cfg ->
-        run_json ~mode:"sequential" ~jobs:1 cfg.cfg_name
-          (Hashtbl.find seq_best cfg.cfg_name))
-      engine_cfgs
-  in
-  let seq_speedups =
-    List.map
-      (fun cfg ->
-        ( cfg.cfg_name ^ "_vs_baseline",
-          Float (speedup_vs_baseline seq_rounds cfg.cfg_name) ))
-      (List.tl engine_cfgs)
-  in
-  let corpus_json =
-    let _, baseline_rows = Hashtbl.find seq_best "baseline" in
-    List.map
-      (fun r ->
-        Obj
-          [
-            ("name", Str (Filename.basename r.s_path));
-            ("functions", Int r.s_functions);
-            ("rule_apps", Int r.s_stats.Stats.rule_apps);
-          ])
-      baseline_rows
-  in
-  let record =
-    Obj
-      [
-        ("schema", Str "refinedc-bench/4");
-        ("ocaml", Str Sys.ocaml_version);
-        ("word_size", Int Sys.word_size);
-        ("parallelism_available", Bool Rc_util.Pool.parallelism_available);
-        ("scale", Int scale);
-        ("jobs", Int jobs);
-        ("jobs_effective", Int eff_jobs);
-        ("configs", List (List.map (fun c -> Str c.cfg_name) engine_cfgs));
-        ("verdicts_identical", Bool identical);
-        ("corpus", List corpus_json);
-        ("runs", List (seq_runs @ pool_runs));
-        ( "speedup",
-          Obj
-            ([ ("sequential", Obj seq_speedups) ]
-            @
-            match pool_speedups with
-            | [] -> []
-            | ps -> [ ("pool", Obj ps) ]) );
-        ("curve", List curve);
-      ]
-  in
-  Out_channel.with_open_bin out (fun oc ->
-      Out_channel.output_string oc (Rc_util.Jsonout.to_string record);
-      Out_channel.output_string oc "\n");
-  let get name = fst (Hashtbl.find seq_best name) in
-  Fmt.pr
-    "@.Perf record written to %s@.  sequential totals: baseline %.3fs, \
-     hashcons %.3fs, memo %.3fs, memo+hashcons %.3fs@."
-    out (get "baseline") (get "hashcons") (get "memo") (get "memo_hashcons");
-  let runs_ok =
-    List.for_all
-      (fun j ->
-        match j with
-        | Obj fields -> (
-            match List.assoc_opt "ok" fields with
-            | Some (Bool b) -> b
-            | _ -> false)
-        | _ -> false)
-      (seq_runs @ pool_runs)
-  in
-  identical && runs_ok
-
-(* ------------------------------------------------------------------ *)
-(* Incremental verification (--incr): dirty-cone measurement           *)
-(* ------------------------------------------------------------------ *)
-
-(* [--incr [--scale N] [--json-out PATH]] measures dependency-cone
-   incremental verification on the stress families that have a
-   function-level structure: cold run, fully-warm run, and two
-   single-function edits (body-only — early cutoff, expected cone 1 —
-   and spec — expected cone = the edited function plus its direct
-   callers).  Each scenario checks three invariants before any timing
-   is trusted: the re-verified set is *exactly* the expected cone, the
-   warm run re-verifies nothing, and the cached verdicts are identical
-   to a from-scratch non-incremental run.  Writes a refinedc-bench/5
-   record (default BENCH_pr8.json). *)
-
-type ifamily = {
-  i_name : string;
-  i_functions : int;
-  i_gen : ?edit:Corpus.edit -> unit -> string;
-  i_body_edit : Corpus.edit;
-  i_body_cone : int;  (** expected dirty-set size for the body edit *)
-  i_spec_edit : Corpus.edit;
-  i_spec_cone : int;  (** expected dirty-set size for the spec edit *)
-}
-
-let incr_families ~scale : ifamily list =
-  let s = max 1 scale in
-  [
-    (let n = 12 * s in
-     {
-       i_name = "call_chain";
-       i_functions = n;
-       i_gen = (fun ?edit () -> Corpus.call_chain ?edit ~weight:3 ~n ());
-       i_body_edit = `Body (n / 2);
-       i_body_cone = 1;
-       (* f(n/2)'s spec signature moved: itself + its caller f(n/2 - 1) *)
-       i_spec_edit = `Spec (n / 2);
-       i_spec_cone = 2;
-     });
-    (let f = 6 * s in
-     {
-       i_name = "diamond_chain";
-       i_functions = f;
-       i_gen = (fun ?edit () -> Corpus.diamond_farm ?edit ~functions:f ~k:4 ());
-       i_body_edit = `Body (f / 2);
-       i_body_cone = 1;
-       (* no call edges between the diamonds: a spec edit dirties only
-          its own function *)
-       i_spec_edit = `Spec (f / 2);
-       i_spec_cone = 1;
-     });
-    (let f = 8 * s in
-     {
-       i_name = "loop_farm";
-       i_functions = f;
-       i_gen = (fun ?edit () -> Corpus.loop_farm ?edit ~functions:f ());
-       i_body_edit = `Inv (f / 2);
-       (* an invariant edit is a body-digest change: cone 1 *)
-       i_body_cone = 1;
-       i_spec_edit = `Spec (f / 2);
-       i_spec_cone = 1;
-     });
-  ]
-
-(* The verdict surface that must be identical between an incremental
-   (cache-replayed) run and a from-scratch non-incremental run: status
-   and Figure-7 statistics per function, in source order, plus the exit
-   code.  (Raw JSON can't be compared byte-for-byte across *modes* —
-   the cache block itself legitimately differs.) *)
-let verdict_sig (t : Driver.t) : string =
-  String.concat "\n"
-    (string_of_int (Driver.exit_code t)
-    :: List.map
-         (fun (r : Driver.check_result) ->
-           match r.outcome with
-           | Ok res ->
-               let s = res.Rc_refinedc.Lang.E.stats in
-               Fmt.str "%s:ok:%d:%d:%d:%d" r.Driver.name s.Stats.rule_apps
-                 s.Stats.evar_insts s.Stats.side_auto s.Stats.side_manual
-           | Error e ->
-               Fmt.str "%s:err:%s" r.Driver.name
-                 (Rc_lithium.Report.to_string e))
-         t.Driver.results)
-
-let incr_scratch = ref 0
-
-let incr_record ~scale ~out () : bool =
-  let open Rc_util.Jsonout in
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "refinedc-incr" in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let reps = 3 in
-  let families = incr_families ~scale in
-  Fmt.pr "Incremental corpus: %d families (scale %d) -> %s@."
-    (List.length families) scale dir;
-  let ok_all = ref true in
-  let fam_json =
-    List.map
-      (fun fam ->
-        let path = Filename.concat dir (fam.i_name ^ ".c") in
-        let run src cache =
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc src);
-          Gc.compact ();
-          let watch = Rc_util.Budget.stopwatch () in
-          let t =
-            Driver.check_file ~session:(Api.create_session ()) ~cache path
-          in
-          (watch (), t)
-        in
-        let reverified (t : Driver.t) =
-          List.length
-            (List.filter (fun (r : Driver.check_result) -> not r.Driver.cached)
-               t.Driver.results)
-        in
-        let all_ok (t : Driver.t) =
-          Driver.errors t = [] && t.Driver.skipped = []
-        in
-        (* one interleaved round: fresh cache, cold -> warm -> body edit
-           -> rebase -> spec edit; the rebase restores every base entry
-           so the spec edit starts from the same warm state *)
-        let round () =
-          incr incr_scratch;
-          let cdir =
-            Filename.concat dir
-              (Printf.sprintf "%s-cache-%d" fam.i_name !incr_scratch)
-          in
-          (* the cold pass must be genuinely cold even when the scratch
-             directory survived a previous bench invocation *)
-          if Sys.file_exists cdir && Sys.is_directory cdir then
-            Array.iter
-              (fun f ->
-                try Sys.remove (Filename.concat cdir f) with Sys_error _ -> ())
-              (Sys.readdir cdir);
-          let cache = Rc_util.Vercache.create cdir in
-          let cold_w, cold_t = run (fam.i_gen ()) cache in
-          let warm_w, warm_t = run (fam.i_gen ()) cache in
-          let body_w, body_t = run (fam.i_gen ~edit:fam.i_body_edit ()) cache in
-          let _rebase = run (fam.i_gen ()) cache in
-          let spec_w, spec_t = run (fam.i_gen ~edit:fam.i_spec_edit ()) cache in
-          ((cold_w, cold_t), (warm_w, warm_t), (body_w, body_t),
-           (spec_w, spec_t))
-        in
-        let rounds = List.init reps (fun _ -> round ()) in
-        let (c0, cold_t0), (w0, warm_t0), (b0, body_t0), (s0, spec_t0) =
-          List.hd rounds
-        in
-        let min_of f =
-          List.fold_left (fun a r -> Float.min a (f r)) infinity rounds
-        in
-        let cold_w = min_of (fun ((w, _), _, _, _) -> w) in
-        let warm_w = min_of (fun (_, (w, _), _, _) -> w) in
-        let body_w = min_of (fun (_, _, (w, _), _) -> w) in
-        let spec_w = min_of (fun (_, _, _, (w, _)) -> w) in
-        ignore (c0, w0, b0, s0);
-        let median_ratio pick =
-          let rs =
-            List.filter_map
-              (fun ((cw, _), _, _, _ as r) ->
-                let ew = pick r in
-                if cw > 0. then Some (ew /. cw) else None)
-              rounds
-            |> List.sort compare
-          in
-          match rs with
-          | [] -> 0.
-          | _ -> List.nth rs (List.length rs / 2)
-        in
-        let body_ratio = median_ratio (fun (_, _, (w, _), _) -> w) in
-        let spec_ratio = median_ratio (fun (_, _, _, (w, _)) -> w) in
-        (* invariants: every run verifies, the warm run replays
-           everything, each edit re-verifies exactly its cone *)
-        let cone_exact =
-          List.for_all
-            (fun ((_, ct), (_, wt), (_, bt), (_, st)) ->
-              let ok =
-                all_ok ct && all_ok wt && all_ok bt && all_ok st
-                && reverified ct = fam.i_functions
-                && reverified wt = 0
-                && reverified bt = fam.i_body_cone
-                && reverified st = fam.i_spec_cone
-              in
-              if not ok then
-                Fmt.epr
-                  "  [%s] round mismatch: ok %b/%b/%b/%b, reverified \
-                   cold=%d/%d warm=%d/0 body=%d/%d spec=%d/%d@."
-                  fam.i_name (all_ok ct) (all_ok wt) (all_ok bt) (all_ok st)
-                  (reverified ct) fam.i_functions (reverified wt)
-                  (reverified bt) fam.i_body_cone (reverified st)
-                  fam.i_spec_cone;
-              ok)
-            rounds
-        in
-        (* verdict identity vs a from-scratch non-incremental run, on
-           the edited sources (the cache-replayed case) *)
-        let plain src =
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc src);
-          Driver.check_file
-            ~session:(Api.create_session ~incremental:false ())
-            path
-        in
-        let verdicts_identical =
-          verdict_sig body_t0 = verdict_sig (plain (fam.i_gen ~edit:fam.i_body_edit ()))
-          && verdict_sig spec_t0 = verdict_sig (plain (fam.i_gen ~edit:fam.i_spec_edit ()))
-          && verdict_sig cold_t0 = verdict_sig warm_t0
-        in
-        ignore spec_t0;
-        if not (cone_exact && verdicts_identical) then ok_all := false;
-        Fmt.pr
-          "  %-13s %2d fns: cold %.4fs, warm %.4fs, edit-body %.4fs \
-           (%.0f%% of cold, cone %d), edit-spec %.4fs (%.0f%% of cold, \
-           cone %d)%s@."
-          fam.i_name fam.i_functions cold_w warm_w body_w
-          (100. *. body_ratio) fam.i_body_cone spec_w (100. *. spec_ratio)
-          fam.i_spec_cone
-          (if cone_exact && verdicts_identical then ""
-           else "  [INVARIANT VIOLATION]");
-        Obj
-          [
-            ("name", Str fam.i_name);
-            ("functions", Int fam.i_functions);
-            ("cold_wall_s", Float cold_w);
-            ("warm_wall_s", Float warm_w);
-            ("edit_body_wall_s", Float body_w);
-            ("edit_spec_wall_s", Float spec_w);
-            ("warm_reverified", Int (reverified warm_t0));
-            ("edit_body_reverified", Int (reverified body_t0));
-            ("edit_body_cone_expected", Int fam.i_body_cone);
-            ("edit_spec_reverified", Int (reverified spec_t0));
-            ("edit_spec_cone_expected", Int fam.i_spec_cone);
-            ("edit_body_vs_cold", Float body_ratio);
-            ("edit_spec_vs_cold", Float spec_ratio);
-            ("cone_exact", Bool cone_exact);
-            ("verdicts_identical", Bool verdicts_identical);
-          ])
-      families
-  in
-  let record =
-    Obj
-      [
-        ("schema", Str "refinedc-bench/5");
-        ("ocaml", Str Sys.ocaml_version);
-        ("word_size", Int Sys.word_size);
-        ("scale", Int scale);
-        ("reps", Int reps);
-        ("families", List fam_json);
-        ("ok", Bool !ok_all);
-      ]
-  in
-  Out_channel.with_open_bin out (fun oc ->
-      Out_channel.output_string oc (Rc_util.Jsonout.to_string record);
-      Out_channel.output_string oc "\n");
-  Fmt.pr "@.Incremental perf record written to %s@." out;
-  !ok_all
-
-(* ------------------------------------------------------------------ *)
-(* Trajectory (--trajectory): backfill the committed perf records        *)
-(* ------------------------------------------------------------------ *)
-
-(* [--trajectory [--runlog DIR]] normalizes the committed BENCH_pr*.json
-   perf records — five schema generations, refinedc-bench/1 through /5 —
-   into one apps/sec + warm-speedup trajectory, printed as a table and
-   (with --runlog) appended to the persistent run ledger as
-   kind:"backfill" records, so [refinedc stats] charts the repo's whole
-   performance history alongside fresh check runs.  Backfill records
-   never enter the stats regression gate (different workloads). *)
-
-module J = Rc_util.Jsonout
-
-(* One normalized trajectory point, extracted from a perf record. *)
-type traj_point = {
-  tp_source : string;  (** the record file, e.g. "BENCH_pr6.json" *)
-  tp_schema : string;
-  tp_wall_s : float option;  (** the sequential/cold pass wall-clock *)
-  tp_rule_apps : int option;
-  tp_apps_per_sec : float option;
-  tp_warm_speedup : float option;
-}
-
-(* refinedc-bench/1,2,3 (BENCH_pr2/4/6): corpus runs with per-study
-   rule_apps; throughput = Σ studies' rule_apps over the sequential
-   pass's wall-clock, warm speedup from the precomputed ratio. *)
-let traj_of_corpus_record ~source ~schema (v : J.t) : traj_point option =
-  let runs = Option.value ~default:[] (Option.bind (J.member "runs" v) J.to_list) in
-  let sequential =
-    List.find_opt
-      (fun r ->
-        J.member "mode" r = Some (J.Str "sequential")
-        && J.member "cache" r = Some (J.Bool false))
-      runs
-  in
-  Option.map
-    (fun run ->
-      let wall = J.number_member "total_wall_s" run in
-      let apps =
-        Option.bind (J.member "studies" run) J.to_list
-        |> Option.map
-             (List.fold_left
-                (fun acc s ->
-                  acc
-                  + (Option.value ~default:0
-                       (Option.bind (J.member "rule_apps" s) J.to_int)))
-                0)
-      in
-      {
-        tp_source = source;
-        tp_schema = schema;
-        tp_wall_s = wall;
-        tp_rule_apps = apps;
-        tp_apps_per_sec =
-          (match (apps, wall) with
-          | Some a, Some w when w > 0. -> Some (float_of_int a /. w)
-          | _ -> None);
-        tp_warm_speedup =
-          Option.bind (J.member "speedup" v)
-            (J.number_member "warm_cache_vs_sequential");
-      })
-    sequential
-
-(* refinedc-bench/4 (BENCH_pr7): the stress corpus measures apps/sec
-   directly per config; the baseline sequential run is the comparable
-   throughput point, and the memoized speedup stands in the speedup
-   column (the record has no cache pass). *)
-let traj_of_stress_record ~source ~schema (v : J.t) : traj_point option =
-  let runs = Option.value ~default:[] (Option.bind (J.member "runs" v) J.to_list) in
-  let baseline =
-    List.find_opt
-      (fun r ->
-        J.member "config" r = Some (J.Str "baseline")
-        && J.member "mode" r = Some (J.Str "sequential"))
-      runs
-  in
-  Option.map
-    (fun run ->
-      {
-        tp_source = source;
-        tp_schema = schema;
-        tp_wall_s = J.number_member "total_wall_s" run;
-        tp_rule_apps = Option.bind (J.member "rule_apps" run) J.to_int;
-        tp_apps_per_sec = J.number_member "apps_per_sec" run;
-        tp_warm_speedup =
-          Option.bind (J.member "speedup" v) (fun s ->
-              Option.bind (J.member "sequential" s)
-                (J.number_member "memo_hashcons_vs_baseline"));
-      })
-    baseline
-
-(* refinedc-bench/5 (BENCH_pr8): per-family cold/warm walls, no
-   rule-application counts — the trajectory point is the cold total and
-   the median cold/warm ratio. *)
-let traj_of_incr_record ~source ~schema (v : J.t) : traj_point option =
-  let families =
-    Option.value ~default:[] (Option.bind (J.member "families" v) J.to_list)
-  in
-  if families = [] then None
-  else begin
-    let cold_total =
-      List.fold_left
-        (fun acc f ->
-          acc +. Option.value ~default:0. (J.number_member "cold_wall_s" f))
-        0. families
-    in
-    let ratios =
-      List.filter_map
-        (fun f ->
-          match
-            (J.number_member "cold_wall_s" f, J.number_member "warm_wall_s" f)
-          with
-          | Some c, Some w when w > 0. -> Some (c /. w)
-          | _ -> None)
-        families
-    in
-    Some
-      {
-        tp_source = source;
-        tp_schema = schema;
-        tp_wall_s = Some cold_total;
-        tp_rule_apps = None;
-        tp_apps_per_sec = None;
-        tp_warm_speedup = Rc_util.Runlog.median ratios;
-      }
-  end
-
-let traj_of_file (path : string) : (traj_point, string) result =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | contents -> (
-      match J.parse contents with
-      | Error msg -> Error ("unparseable: " ^ msg)
-      | Ok v -> (
-          let source = Filename.basename path in
-          match Option.bind (J.member "schema" v) J.to_str with
-          | None -> Error "no schema field"
-          | Some schema -> (
-              let point =
-                match schema with
-                | "refinedc-bench/1" | "refinedc-bench/2" | "refinedc-bench/3"
-                  ->
-                    traj_of_corpus_record ~source ~schema v
-                | "refinedc-bench/4" -> traj_of_stress_record ~source ~schema v
-                | "refinedc-bench/5" -> traj_of_incr_record ~source ~schema v
-                | _ -> None
-              in
-              match point with
-              | Some p -> Ok p
-              | None -> Error ("unrecognized record shape for " ^ schema))))
-
-let traj_to_runlog_record (p : traj_point) : J.t =
-  let opt_f = function Some f -> J.Float f | None -> J.Null in
-  J.Obj
-    [
-      ("schema", J.Str Rc_util.Runlog.schema_version);
-      ("kind", J.Str "backfill");
-      ("file", J.Str p.tp_source);
-      ("bench_schema", J.Str p.tp_schema);
-      ("ocaml", J.Str Sys.ocaml_version);
-      ("wall_s", opt_f p.tp_wall_s);
-      ( "rule_apps",
-        match p.tp_rule_apps with Some n -> J.Int n | None -> J.Null );
-      ("apps_per_sec", opt_f p.tp_apps_per_sec);
-      ("warm_speedup", opt_f p.tp_warm_speedup);
-    ]
-
-let default_traj_sources =
-  [
-    "BENCH_pr2.json";
-    "BENCH_pr4.json";
-    "BENCH_pr6.json";
-    "BENCH_pr7.json";
-    "BENCH_pr8.json";
-  ]
-
-let trajectory ~(runlog_dir : string option) (sources : string list) : bool =
-  let points, errors =
-    List.fold_left
-      (fun (ps, es) src ->
-        if not (Sys.file_exists src) then (ps, (src, "not found") :: es)
-        else
-          match traj_of_file src with
-          | Ok p -> (p :: ps, es)
-          | Error msg -> (ps, (src, msg) :: es))
-      ([], []) sources
-  in
-  let points = List.rev points and errors = List.rev errors in
-  Fmt.pr "Performance trajectory (%d record%s):@." (List.length points)
-    (if List.length points = 1 then "" else "s");
-  Fmt.pr "  %-16s %-18s %10s %10s %10s %12s@." "record" "schema" "wall_s"
-    "rule_apps" "apps/sec" "warm speedup";
-  List.iter
-    (fun p ->
-      let f = function Some v -> Fmt.str "%.3g" v | None -> "-" in
-      Fmt.pr "  %-16s %-18s %10s %10s %10s %12s@." p.tp_source p.tp_schema
-        (f p.tp_wall_s)
-        (match p.tp_rule_apps with Some n -> string_of_int n | None -> "-")
-        (f p.tp_apps_per_sec) (f p.tp_warm_speedup))
-    points;
-  List.iter (fun (src, msg) -> Fmt.pr "  %s: skipped (%s)@." src msg) errors;
-  (match runlog_dir with
-  | None -> ()
-  | Some dir ->
-      let lg = Rc_util.Runlog.create dir in
-      List.iter (fun p -> Rc_util.Runlog.append lg (traj_to_runlog_record p)) points;
-      if Rc_util.Runlog.disabled lg then
-        Fmt.pr "warning: could not append to the run ledger in %s@." dir
-      else
-        Fmt.pr "%d backfill record%s appended to %s@." (List.length points)
-          (if List.length points = 1 then "" else "s")
-          (Rc_util.Runlog.path lg));
-  points <> []
-
-(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** [opt_value args name default]: the value following [name]. *)
-let opt_value args name default =
-  match Rc_util.Xlist.index_of (( = ) name) args with
-  | Some i when i + 1 < List.length args -> List.nth args (i + 1)
-  | _ -> default
-
 let () =
   let args = Array.to_list Sys.argv in
-  if List.mem "--trajectory" args then begin
-    let runlog_dir =
-      match opt_value args "--runlog" "" with "" -> None | d -> Some d
-    in
-    let sources =
-      match List.filter (fun a -> Filename.check_suffix a ".json") args with
-      | [] -> default_traj_sources
-      | files -> files
-    in
-    if not (trajectory ~runlog_dir sources) then begin
-      Fmt.pr "@.NO PERF RECORDS FOUND@.";
-      exit 1
-    end
-  end
-  else if List.mem "--incr" args then begin
-    let scale =
-      match int_of_string_opt (opt_value args "--scale" "2") with
-      | Some n when n > 0 -> n
-      | _ -> 2
-    in
-    let out = opt_value args "--json-out" "BENCH_pr8.json" in
-    Fmt.pr "Benchmarking incremental verification (perf record -> %s)@." out;
-    if not (incr_record ~scale ~out ()) then begin
-      Fmt.pr "@.INCREMENTAL BENCHMARK FAILED@.";
-      exit 1
-    end
-  end
-  else if List.mem "--stress" args then begin
-    let scale =
-      match int_of_string_opt (opt_value args "--scale" "2") with
-      | Some n when n > 0 -> n
-      | _ -> 2
-    in
-    let jobs =
-      match int_of_string_opt (opt_value args "-j" "") with
-      | Some n when n > 0 -> n
-      | _ -> max 2 (Rc_util.Pool.default_jobs ())
-    in
-    let out = opt_value args "--json-out" "BENCH_pr7.json" in
-    Fmt.pr "Benchmarking the stress corpus (perf record -> %s)@." out;
-    if not (stress_record ~scale ~jobs ~out ()) then begin
-      Fmt.pr "@.STRESS BENCHMARK FAILED@.";
-      exit 1
-    end
-  end
-  else if List.mem "--json" args then begin
-    let jobs =
-      match int_of_string_opt (opt_value args "-j" "") with
-      | Some n when n > 0 -> n
-      | _ -> max 2 (Rc_util.Pool.default_jobs ())
-    in
-    let cache_dir =
-      opt_value args "--cache"
-        (Filename.concat (Filename.get_temp_dir_name ()) "refinedc-bench-cache")
-    in
-    let out = opt_value args "--json-out" "BENCH_pr6.json" in
-    Fmt.pr "Benchmarking the corpus (perf record -> %s)@." out;
-    if not (json_record ~jobs ~cache_dir ~out ()) then begin
-      Fmt.pr "@.SOME CASE STUDIES FAILED@.";
-      exit 1
-    end
-  end
+  Fmt.pr "Reproducing Figure 7 (paper: RefinedC, PLDI 2021)@.";
+  let rows = List.map check_study corpus in
+  print_table rows;
+  let all = List.mem "--all" args in
+  if List.mem "--time" args || all || args = [ Sys.argv.(0) ] then
+    time_studies rows;
+  if List.mem "--ablations" args || all || args = [ Sys.argv.(0) ] then
+    ablations rows;
+  if List.for_all (fun r -> r.ok) rows then
+    Fmt.pr "@.All %d case studies verified.@." (List.length rows)
   else begin
-    Fmt.pr "Reproducing Figure 7 (paper: RefinedC, PLDI 2021)@.";
-    let rows = List.map check_study corpus in
-    print_table rows;
-    let all = List.mem "--all" args in
-    if List.mem "--time" args || all || args = [ Sys.argv.(0) ] then
-      time_studies rows;
-    if List.mem "--ablations" args || all || args = [ Sys.argv.(0) ] then
-      ablations rows;
-    if List.for_all (fun r -> r.ok) rows then
-      Fmt.pr "@.All %d case studies verified.@." (List.length rows)
-    else begin
-      Fmt.pr "@.SOME CASE STUDIES FAILED@.";
-      exit 1
-    end
+    Fmt.pr "@.SOME CASE STUDIES FAILED@.";
+    exit 1
   end

@@ -409,7 +409,9 @@ let check_cmd =
     in
     let interrupted = Atomic.make false in
     install_interrupt_handlers interrupted;
-    let jobs = if jobs <= 0 then Rc_util.Pool.default_jobs () else jobs in
+    let jobs =
+      if jobs <= 0 then Rc_util.Supervisor.recommended_jobs () else jobs
+    in
     (* the persistent supervised pool: spawned once per invocation, owned
        here, threaded to the driver through the session.  [-j] is
        clamped to the core count — oversubscribed worker domains only
@@ -1050,7 +1052,8 @@ let stats_cmd =
     let records = Rc_util.Runlog.load lg in
     let corrupt = Rc_util.Runlog.corrupt_lines lg in
     (* the regression series: apps/sec of "check" runs, chronological —
-       bench backfill records chart the trajectory but use different
+       a ledger may also hold records of other kinds written by other
+       tools (older bench backfills, say); they measure different
        workloads, so they never enter the gate *)
     let apps_series =
       List.filter_map
@@ -1151,8 +1154,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Report throughput trends and flag regressions from the \
-          persistent run ledger written by $(b,refinedc check --runlog) \
-          and $(b,bench --trajectory).")
+          persistent run ledger written by $(b,refinedc check --runlog).")
     Term.(const run $ dir $ json $ last $ window $ threshold $ gate)
 
 let () =

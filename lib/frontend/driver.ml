@@ -419,7 +419,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
       Obs.instant co ~cat:"sched"
         ~args:
           [ ("fn", name);
-            ("domain", string_of_int (Rc_util.Pool.worker_id ())) ]
+            ("domain", string_of_int (Rc_util.Supervisor.worker_id ())) ]
         "task:begin";
       Obs.span_begin co ~cat:"check" ~args:[ ("fn", name) ] ("fn:" ^ name)
     end;
@@ -466,7 +466,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
       Obs.instant co ~cat:"sched"
         ~args:
           [ ("fn", name);
-            ("domain", string_of_int (Rc_util.Pool.worker_id ())) ]
+            ("domain", string_of_int (Rc_util.Supervisor.worker_id ())) ]
         "task:end"
     end;
     r

@@ -40,16 +40,13 @@ module type LANG = sig
   val pp_f : Format.formatter -> f -> unit
   val pp_atom : Format.formatter -> atom -> unit
 
-  val head_of_f : f -> string
-  (** judgment head, used for rule indexing, stats and certificates *)
-
   val head_id_of_f : f -> int
-  (** the same head as a dense id into {!head_names} — one constructor
-      match instead of a string, so the hot-path dispatch is an array
-      access rather than a string-keyed hash lookup *)
+  (** the judgment head as a dense id into {!head_names} — one
+      constructor match, so rule dispatch is an array access *)
 
   val head_names : string array
-  (** id ↦ head name; [head_names.(head_id_of_f f) = head_of_f f] *)
+  (** id ↦ head name, the name rules declare in [heads] and that
+      forensics and traces report *)
 
   val memo_key_of_f : (term -> term) -> f -> string option
   (** [Some key] iff the judgment is safely memoizable within a run:
@@ -102,7 +99,7 @@ module Make (L : LANG) = struct
     rname : string;
     prio : int;  (** lower fires first (§5 footnote: priorities) *)
     heads : string list option;
-        (** the judgment heads ({!L.head_of_f}) this rule can fire on;
+        (** the judgment heads ({!L.head_names}) this rule can fire on;
             [None] means it must be tried on every head.  This is a
             dispatch hint, not a semantic filter: a rule listed under the
             wrong head is simply never offered the goals it matches. *)
@@ -124,16 +121,10 @@ module Make (L : LANG) = struct
       Looking up the rules for a basic goal is O(bucket) instead of
       O(all rules). *)
   type index = {
-    idx_buckets : (string, rule list) Hashtbl.t;
-        (** head ↦ rules declaring that head plus the wildcard rules,
-            in priority order — exactly the subsequence of the sorted
-            rule list that can fire on this head *)
     idx_by_id : rule list array;
-        (** the same buckets keyed by {!L.head_id_of_f} — the hot-path
-            lookup is one array access, no string hashing *)
-    idx_wild : rule list;
-        (** priority-sorted wildcard rules: the bucket for heads no rule
-            declares explicitly *)
+        (** {!L.head_id_of_f} ↦ rules declaring that head plus the
+            wildcard rules, in priority order — exactly the subsequence
+            of the sorted rule list that can fire on this head *)
     idx_fingerprint : string;
         (** digest of (name, priority, heads) of every rule in order —
             a component of the verification-cache key.  Computed from
@@ -167,18 +158,12 @@ module Make (L : LANG) = struct
           if c <> 0 then c else compare (hits b.rname) (hits a.rname))
         rules
     in
-    let declared =
-      List.concat_map (fun r -> Option.value ~default:[] r.heads) sorted
-      |> List.sort_uniq compare
-    in
     let bucket_for h =
       List.filter
         (fun r ->
           match r.heads with None -> true | Some hs -> List.mem h hs)
         sorted
     in
-    let idx_buckets = Hashtbl.create (List.length declared * 2) in
-    List.iter (fun h -> Hashtbl.replace idx_buckets h (bucket_for h)) declared;
     let idx_fingerprint =
       Digest.to_hex
         (Digest.string
@@ -191,27 +176,11 @@ module Make (L : LANG) = struct
                      | Some hs -> String.concat "," hs))
                  sorted)))
     in
-    let idx_wild = List.filter (fun r -> r.heads = None) sorted in
-    let idx_by_id =
-      Array.map
-        (fun h ->
-          match Hashtbl.find_opt idx_buckets h with
-          | Some bucket -> bucket
-          | None -> idx_wild)
-        L.head_names
-    in
     {
-      idx_buckets;
-      idx_by_id;
-      idx_wild;
+      idx_by_id = Array.map bucket_for L.head_names;
       idx_fingerprint;
       idx_size = List.length sorted;
     }
-
-  let rules_for (idx : index) (head : string) : rule list =
-    match Hashtbl.find_opt idx.idx_buckets head with
-    | Some bucket -> bucket
-    | None -> idx.idx_wild
 
   (* ---------------------------------------------------------------- *)
   (* Interpreter state                                                 *)
@@ -334,22 +303,18 @@ module Make (L : LANG) = struct
     mutable fx_ring_n : int;  (** total pushes; head = n mod size *)
   }
 
-  (** Engine tuning knobs.  [o_memo] is the [--memo] flag; [o_hashcons]
-      switches the interned-id head dispatch and exists so the benchmark
-      harness can A/B it against the string path — it never changes
-      results, only speed.  [o_fx] enables proof-failure forensics
-      ([--explain-failure]): a bounded derivation snapshot attached to
-      the failure report.  Like the speed knobs it never changes
-      verdicts — it only enriches failure diagnostics. *)
+  (** Engine tuning knobs.  [o_memo] is the [--memo] flag.  [o_fx]
+      enables proof-failure forensics ([--explain-failure]): a bounded
+      derivation snapshot attached to the failure report.  Like the
+      memo it never changes verdicts — it only enriches failure
+      diagnostics. *)
   type opts = {
-    o_hashcons : bool;
     o_memo : bool;
     o_memo_max : int;
     o_fx : Report.fx_limits option;
   }
 
-  let default_opts =
-    { o_hashcons = true; o_memo = false; o_memo_max = 4096; o_fx = None }
+  let default_opts = { o_memo = false; o_memo_max = 4096; o_fx = None }
 
   type st = {
     evars : Evar.t;
@@ -365,7 +330,6 @@ module Make (L : LANG) = struct
     obs : Rc_util.Obs.t;
         (** this check's observability handle ({!Rc_util.Obs.off} when
             disabled — every guard below is then one pattern match) *)
-    hashcons : bool;  (** dispatch on {!L.head_id_of_f} ids *)
     memo : memo option;  (** [Some] iff within-run memoization is on *)
     fx : fx_state option;  (** [Some] iff forensics capture is on *)
     mutable cur_loc : Rc_util.Srcloc.t option;
@@ -1012,15 +976,8 @@ module Make (L : LANG) = struct
   (* goal case 5 proper: rule lookup and first-match-commits application *)
   and solve_basic (st : st) (depth : int) (ctx : ctx) (f : L.f) : Deriv.node =
     (match L.loc_of_f f with Some l -> st.cur_loc <- Some l | None -> ());
-    let bucket, head =
-      if st.hashcons then begin
-        let id = L.head_id_of_f f in
-        (st.index.idx_by_id.(id), L.head_names.(id))
-      end
-      else
-        let head = L.head_of_f f in
-        (rules_for st.index head, head)
-    in
+    let id = L.head_id_of_f f in
+    let bucket = st.index.idx_by_id.(id) and head = L.head_names.(id) in
     st.cur_head <- Some head;
     Rc_util.Faultsim.point st.registry.Registry.fault "rule_lookup";
     let ri = rule_input st ctx in
@@ -1100,7 +1057,6 @@ module Make (L : LANG) = struct
         tactics;
         budget = Rc_util.Budget.start budget;
         obs;
-        hashcons = opts.o_hashcons;
         memo =
           (if opts.o_memo then
              Some

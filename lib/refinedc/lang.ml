@@ -161,26 +161,9 @@ and goal = (f, atom) Rc_lithium.Goal.goal
 (* LANG instance                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let head_of_f = function
-  | FSubsume _ -> "subsume"
-  | FBlock _ -> "stmt"
-  | FGoto _ -> "goto"
-  | FExpr _ -> "expr"
-  | FReadLoc _ -> "read-loc"
-  | FReadTy _ -> "read"
-  | FWriteLoc _ -> "write-loc"
-  | FWriteTy _ -> "write"
-  | FBinop _ -> "binop"
-  | FUnop _ -> "unop"
-  | FCast _ -> "cast"
-  | FIf _ -> "if"
-  | FSwitchJ _ -> "switch"
-  | FCall _ -> "call"
-  | FCas _ -> "cas"
-
-(** Every head {!head_of_f} can produce — the valid vocabulary for a
-    rule's [heads] declaration (a declared head outside this list can
-    never be dispatched to). *)
+(** Every judgment head, in {!head_id_of_f} order — the valid vocabulary
+    for a rule's [heads] declaration (a declared head outside this list
+    can never be dispatched to). *)
 let all_heads =
   [
     "subsume"; "stmt"; "goto"; "expr"; "read-loc"; "read"; "write-loc";
@@ -188,7 +171,7 @@ let all_heads =
   ]
 
 (* The interned-head vocabulary: [head_id_of_f] must stay aligned with
-   [head_names] (same order as [all_heads] and [head_of_f]). *)
+   [head_names] (same order as [all_heads]). *)
 let head_names = Array.of_list all_heads
 
 let head_id_of_f = function
@@ -303,7 +286,6 @@ module L = struct
 
   let pp_f = pp_f
   let pp_atom = Rtype.pp_atom
-  let head_of_f = head_of_f
   let head_id_of_f = head_id_of_f
   let head_names = head_names
   let memo_key_of_f = memo_key_of_f

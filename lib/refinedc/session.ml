@@ -64,13 +64,9 @@ let default_exec : exec_cfg =
 type memo_cfg = {
   mm_enabled : bool;
   mm_max : int;  (** per-function memo-table bound *)
-  mm_hashcons : bool;
-      (** id-indexed head dispatch (on by default; the benchmark harness
-          turns it off to measure the string-keyed baseline) *)
 }
 
-let default_memo : memo_cfg =
-  { mm_enabled = false; mm_max = 4096; mm_hashcons = true }
+let default_memo : memo_cfg = { mm_enabled = false; mm_max = 4096 }
 
 (** Incremental-verification configuration: how the driver keys the
     on-disk cache and schedules dirty work.  Like {!exec_cfg} this never

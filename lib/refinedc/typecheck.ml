@@ -156,7 +156,6 @@ let check_fn ?(globals = []) ?(obs = Rc_util.Obs.off) ~(session : Session.t)
     {
       E.o_memo = session.Session.memo.Session.mm_enabled;
       o_memo_max = session.Session.memo.Session.mm_max;
-      o_hashcons = session.Session.memo.Session.mm_hashcons;
       o_fx =
         (if session.Session.fx.Session.f_enabled then
            Some session.Session.fx.Session.f_limits

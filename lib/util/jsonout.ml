@@ -1,11 +1,15 @@
 (** Minimal JSON for machine-readable diagnostics ([--json]) and the
     run ledger.
 
-    Historically output-only; the run ledger ({!Runlog}) and the bench
-    trajectory backfill made the toolchain a *reader* of its own records
-    too, so a small recursive-descent {!parse} joins the printer.  Still
-    no external dependency: the reader accepts exactly the JSON this
-    module (and the bench harness) emits, plus standard escapes. *)
+    Historically output-only; the run ledger ({!Runlog}) made the
+    toolchain a *reader* of its own records too, so a small
+    recursive-descent {!parse} joins the printer.  Still no external
+    dependency: the reader accepts exactly the JSON this module emits,
+    plus standard escapes.
+
+    Floats print with [%.6g] unless integral (then exactly, as [%.1f]),
+    so a value that needs more than six significant digits — a
+    timestamp, say — must be emitted as an integral float or an [Int]. *)
 
 type t =
   | Null
@@ -61,7 +65,7 @@ let to_line (v : t) : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Parsing (the run ledger and the bench trajectory backfill)          *)
+(* Parsing (the run ledger)                                           *)
 (* ------------------------------------------------------------------ *)
 
 exception Parse_error of string
@@ -278,7 +282,6 @@ let to_int = function
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
-let to_list = function List vs -> Some vs | _ -> None
 
 (** [number_member k v] reads an [Int]/[Float] field as a float. *)
 let number_member (k : string) (v : t) : float option =

@@ -2,13 +2,11 @@
     a transient-fault retry policy, whole-run deadlines and graceful
     degradation.
 
-    This is the robustness successor to {!Pool}: where [Pool.map] spawns
-    domains per call and re-raises the first worker exception (discarding
-    every completed result), a supervisor spawns its domains {e once} —
-    per CLI invocation or per long-lived session — and feeds them batches
-    through a shared work queue.  A task that crashes, times out or is
-    skipped becomes a structured {!outcome} for that one item; completed
-    results are never discarded.
+    A supervisor spawns its domains {e once} — per CLI invocation or per
+    long-lived session — and feeds them batches through a shared work
+    queue.  A task that crashes, times out or is skipped becomes a
+    structured {!outcome} for that one item; completed results are
+    never discarded.
 
     Supervision model:
 
@@ -42,10 +40,12 @@
       — same isolation, retry and deadline semantics, no parallelism.
       A degraded run never changes any verdict, only the wall-clock.
 
-    Build-time selection mirrors {!Pool}: on OCaml 5 the implementation
+    The implementation is selected at build time ([dune] copies the
+    matching [supervisor_*.ml.in] into [supervisor.ml]): on OCaml 5 it
     fans out across domains ([supervisor_domains.ml.in]); on 4.x it
     degrades to the same sequential engine used by the degraded path
-    ([supervisor_seq.ml.in]), with an identical API.
+    ([supervisor_seq.ml.in]), with an identical API, so callers need no
+    version conditionals.
 
     Concurrency contract: one [run] at a time per supervisor (batches
     are not re-entrant); any number of supervisors may coexist.  The
@@ -66,6 +66,11 @@ val recommended_jobs : unit -> int
     inline sequential execution, which is the fastest thing that host
     can do.  {!create} itself does not clamp, so tests and embedders can
     deliberately oversubscribe. *)
+
+val worker_id : unit -> int
+(** The calling domain's runtime id on OCaml 5, [0] on a sequential
+    build.  Observability only (task placement events): the value is
+    scheduling-dependent, never part of any deterministic output. *)
 
 type t
 

@@ -14,8 +14,10 @@
     {!normalize} erases.
 
     Timestamps are monotonic-clock nanoseconds, shared by all domains of
-    the process, and exported as the fractional microseconds the
-    trace-event format expects. *)
+    the process, and exported as the microseconds the trace-event format
+    expects, truncated to whole microseconds: integral values print
+    exactly, whereas a fractional float keeps only {!Jsonout}'s six
+    significant digits (0.1 s resolution after nine hours of uptime). *)
 
 type ph =
   | B  (** span begin *)
@@ -112,7 +114,7 @@ let ph_string = function
     a [-j 4] run over the same input serialize byte-identically. *)
 let to_chrome_json ?(normalize = false) (t : t) : Jsonout.t =
   let open Jsonout in
-  let us_of_ns ns = Int64.to_float ns /. 1e3 in
+  let us_of_ns ns = Int64.to_float (Int64.div ns 1000L) in
   let ev_json (e : ev) =
     let base =
       [

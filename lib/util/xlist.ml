@@ -40,14 +40,6 @@ let rec transpose = function
 
 let init_matrix n m f = List.init n (fun i -> List.init m (fun j -> f i j))
 
-let index_of p xs =
-  let rec go i = function
-    | [] -> None
-    | x :: _ when p x -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 xs
-
 let rec zip xs ys =
   match (xs, ys) with
   | [], _ | _, [] -> []

@@ -191,7 +191,7 @@ let determinism_tests =
   [
     Alcotest.test_case "forensics are byte-identical across -j" `Quick
       (fun () ->
-        if not Rc_util.Pool.parallelism_available then Alcotest.skip ();
+        if not Rc_util.Supervisor.parallelism_available then Alcotest.skip ();
         (* one file, several failing functions, so -j4 actually forks *)
         let src =
           String.concat "\n"

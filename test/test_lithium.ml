@@ -24,7 +24,6 @@ module Toy = struct
     | Sub (a, b, _) -> Fmt.pf ppf "%a <: %a" pp_atom a pp_atom b
     | Loop (n, _) -> Fmt.pf ppf "loop %d" n
 
-  let head_of_f = function Sub _ -> "sub" | Loop _ -> "loop"
   let head_id_of_f = function Sub _ -> 0 | Loop _ -> 1
   let head_names = [| "sub"; "loop" |]
 

@@ -139,29 +139,31 @@ let stress_equiv_tests =
           Alcotest.(check bool) "verifies" true (Driver.errors off = [])))
     stress_sample
 
-(* The memo must actually fire where it should: the diamond chain's join
-   blocks repeat, so a memo-on run reports hits and subsumed
-   applications while still counting the same total work. *)
+(* The memo must actually fire where it should, and its asymptotic win
+   shows as exact counts rather than a wall-clock curve: on the diamond
+   chain every join is a hit (one per diamond), so the applications the
+   engine actually performs grow by a constant step per two more
+   diamonds, while the total work it accounts for — the same
+   [rule_apps] as a memo-off run — grows about fourfold. *)
 let test_memo_counters () =
-  let src = Corpus.diamond_chain ~k:6 in
-  let off =
-    Driver.check_source ~session:(plain_session ()) ~file:"d.c" src
+  let counts k =
+    let src = Corpus.diamond_chain ~k in
+    let run memo =
+      Driver.stats
+        (Driver.check_source ~session:(plain_session ~memo ()) ~file:"d.c" src)
+    in
+    let off = run false and on = run true in
+    Alcotest.(check int)
+      (Fmt.str "k=%d: rule_apps independent of memo" k)
+      off.Stats.rule_apps on.Stats.rule_apps;
+    Alcotest.(check int) "no hits without memo" 0 off.Stats.memo_hits;
+    Alcotest.(check int) (Fmt.str "k=%d: one hit per diamond" k) k
+      on.Stats.memo_hits;
+    (on.Stats.rule_apps, on.Stats.rule_apps - on.Stats.memo_saved_apps)
   in
-  let on =
-    Driver.check_source ~session:(plain_session ~memo:true ()) ~file:"d.c" src
-  in
-  let s_off = Driver.stats off and s_on = Driver.stats on in
-  Alcotest.(check int)
-    "rule_apps independent of memo" s_off.Stats.rule_apps
-    s_on.Stats.rule_apps;
-  Alcotest.(check int) "no hits without memo" 0 s_off.Stats.memo_hits;
-  Alcotest.(check bool) "hits recorded" true (s_on.Stats.memo_hits > 0);
-  Alcotest.(check bool)
-    "saved apps recorded" true
-    (s_on.Stats.memo_saved_apps > 0);
-  Alcotest.(check bool)
-    "savings bounded by total" true
-    (s_on.Stats.memo_saved_apps < s_on.Stats.rule_apps)
+  let apps, live = List.split (List.map counts [ 6; 8; 10 ]) in
+  Alcotest.(check (list int)) "rule_apps" [ 1964; 7916; 31724 ] apps;
+  Alcotest.(check (list int)) "live applications" [ 155; 203; 251 ] live
 
 (* ------------------------------------------------------------------ *)
 (* Parallel determinism with memoization enabled                       *)
@@ -173,7 +175,7 @@ let parallel_memo_tests =
   List.map
     (fun file ->
       Alcotest.test_case file `Quick (fun () ->
-          if not Rc_util.Pool.parallelism_available then Alcotest.skip ();
+          if not Rc_util.Supervisor.parallelism_available then Alcotest.skip ();
           let path = Filename.concat case_dir file in
           let seq =
             Driver.check_file ~session:(studies_session ~memo:true ()) ~jobs:1

@@ -159,22 +159,28 @@ let independence_tests =
           "A's outcomes are reproducible around B"
           (outcome_signature a1) (outcome_signature a2));
     Alcotest.test_case "concurrently on two domains" `Quick (fun () ->
-        (* on OCaml 4.x the pool degrades to List.map; still a valid
-           independence check, just not a concurrent one *)
-        let results =
-          Rc_util.Pool.map ~jobs:2
-            (fun ablate -> if ablate then run (ablated ()) else run (full ()))
-            [ false; true ]
+        (* on OCaml 4.x the supervisor runs both tasks on the calling
+           thread; still a valid independence check, just not a
+           concurrent one *)
+        let pool = Rc_util.Supervisor.create ~jobs:2 () in
+        let outcomes, _ =
+          Fun.protect
+            ~finally:(fun () -> Rc_util.Supervisor.shutdown pool)
+            (fun () ->
+              Rc_util.Supervisor.run pool
+                (fun ablate ->
+                  if ablate then run (ablated ()) else run (full ()))
+                [ false; true ])
         in
-        match results with
-        | [ ta; tb ] ->
+        match outcomes with
+        | [ Rc_util.Supervisor.Done ta; Rc_util.Supervisor.Done tb ] ->
             expect_full ta;
             expect_ablated tb;
             (* the concurrent full run equals a solo full run exactly *)
             Alcotest.(check (list (pair string string)))
               "concurrent run matches solo run" (outcome_signature (run (full ())))
               (outcome_signature ta)
-        | _ -> assert false);
+        | _ -> Alcotest.fail "a concurrent check did not complete");
     Alcotest.test_case "per-session budgets give per-session verdicts"
       `Quick (fun () ->
         let starved =

@@ -67,6 +67,10 @@ let unit_tests =
             Alcotest.(check int) "no crashes" 0 stats.Supervisor.rs_crashes;
             Alcotest.(check bool)
               "not degraded" false stats.Supervisor.rs_degraded));
+    Alcotest.test_case "recommended_jobs is positive" `Quick (fun () ->
+        Alcotest.(check bool)
+          "positive" true
+          (Supervisor.recommended_jobs () > 0));
     Alcotest.test_case "a crashing task is confined to its slot" `Quick
       (fun () ->
         with_pool ~jobs:4 (fun p ->

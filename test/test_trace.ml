@@ -127,6 +127,32 @@ let primitive_tests =
              ignore (Str.search_forward (Str.regexp_string "fn:f") s 0);
              true
            with Not_found -> false));
+    Alcotest.test_case "timestamps keep microseconds after hours of uptime"
+      `Quick (fun () ->
+        (* 9 h of monotonic time: [%.6g] would print 3.24e+10 here *)
+        let start_ns = 32_400_123_456_789L and dur_ns = 1_234_567L in
+        let t = Trace.make () in
+        Trace.complete t ~cat:"x" ~start_ns ~dur_ns "late";
+        let ev =
+          match Rc_util.Jsonout.parse (Trace.to_chrome_string t) with
+          | Error e -> Alcotest.fail e
+          | Ok v -> (
+              match Rc_util.Jsonout.member "traceEvents" v with
+              | Some (Rc_util.Jsonout.List [ ev ]) -> ev
+              | _ -> Alcotest.fail "expected one event")
+        in
+        let us k =
+          match Rc_util.Jsonout.number_member k ev with
+          | Some f -> f
+          | None -> Alcotest.failf "no %s" k
+        in
+        let within k ns =
+          Alcotest.(check bool)
+            (k ^ " within 1 us") true
+            (Float.abs (us k -. (Int64.to_float ns /. 1e3)) <= 1.)
+        in
+        within "ts" start_ns;
+        within "dur" dur_ns);
     Alcotest.test_case "disabled tracer records nothing" `Quick (fun () ->
         let t = Trace.off in
         Trace.span_begin t ~cat:"x" "a";
@@ -200,7 +226,7 @@ let pipeline_tests =
         Alcotest.(check int) "rule.apps.*" s.Stats.rule_apps rule_apps_total);
     Alcotest.test_case "-j1 and -j4 traces are byte-identical normalized"
       `Quick (fun () ->
-        if not Rc_util.Pool.parallelism_available then Alcotest.skip ();
+        if not Rc_util.Supervisor.parallelism_available then Alcotest.skip ();
         let seq = check ~jobs:1 "hashmap.c" in
         let par = check ~jobs:4 "hashmap.c" in
         Alcotest.(check string)
