@@ -17,11 +17,12 @@ module Obs = Rc_util.Obs
 type ctx = {
   cx_file : string;
   cx_session : Rc_refinedc.Session.t;
-  cx_funcs : (string * Syntax.func) list;  (** every function with a body *)
   cx_to_check : Rc_refinedc.Typecheck.fn_to_check list;
       (** the specified subset, with metadata *)
-  cx_metas : (string * Rc_refinedc.Lang.fn_meta) list;
-      (** source metadata for every body, specified or not *)
+  cx_locks : Locksum.func_report list Lazy.t;
+      (** the lockset reports of every body ({!Pass_race.reports}),
+          swept at most once per {!run} and shared by the concurrency
+          passes; forced only in the domain that made it *)
 }
 
 type pass = {
@@ -87,20 +88,14 @@ let passes : pass list =
          empty must-lockset (may-race)";
       p_codes = [ "RC-L030" ];
       p_sound = false;
-      p_run =
-        (fun cx ->
-          Pass_race.run_race ~metas:cx.cx_metas ~funcs:cx.cx_funcs
-            ~to_check:cx.cx_to_check);
+      p_run = (fun cx -> Pass_race.run_race (Lazy.force cx.cx_locks));
     };
     {
       p_name = "lockrel";
       p_descr = "lock acquired but not released on some path to return";
       p_codes = [ "RC-L031" ];
       p_sound = false;
-      p_run =
-        (fun cx ->
-          Pass_race.run_release ~metas:cx.cx_metas ~funcs:cx.cx_funcs
-            ~to_check:cx.cx_to_check);
+      p_run = (fun cx -> Pass_race.run_release (Lazy.force cx.cx_locks));
     };
     {
       p_name = "lockord";
@@ -109,10 +104,7 @@ let passes : pass list =
          deadlock)";
       p_codes = [ "RC-L032" ];
       p_sound = false;
-      p_run =
-        (fun cx ->
-          Pass_race.run_order ~metas:cx.cx_metas ~funcs:cx.cx_funcs
-            ~to_check:cx.cx_to_check);
+      p_run = (fun cx -> Pass_race.run_order (Lazy.force cx.cx_locks));
     };
   ]
 
@@ -143,14 +135,18 @@ let coverage ~(funcs : (string * Syntax.func) list)
     pass is individually timed and counted into [obs] (span category
     "lint", metrics [lint.<pass>] / [lint.diags.<pass>]); the result is
     sorted with {!Rc_util.Diagnostic.sort}, so it is deterministic and
-    deduplicated regardless of pass order or parallelism. *)
-let run ?(obs = Obs.off) ?(metas = []) ~(session : Rc_refinedc.Session.t)
-    ~(file : string) ~(funcs : (string * Syntax.func) list)
+    deduplicated regardless of pass order or parallelism.  The
+    concurrency passes share one {!Locksum.analyze} sweep, timed under
+    whichever of them runs first; [?graph] is the unit's dependency
+    graph of [to_check] when the caller has already built it. *)
+let run ?(obs = Obs.off) ?(metas = []) ?graph
+    ~(session : Rc_refinedc.Session.t) ~(file : string)
+    ~(funcs : (string * Syntax.func) list)
     ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) () :
     Diagnostic.t list =
   let cx =
-    { cx_file = file; cx_session = session; cx_funcs = funcs;
-      cx_to_check = to_check; cx_metas = metas }
+    { cx_file = file; cx_session = session; cx_to_check = to_check;
+      cx_locks = lazy (Pass_race.reports ?graph ~metas ~funcs ~to_check ()) }
   in
   let selected = select session.Rc_refinedc.Session.lint.l_passes in
   let all =

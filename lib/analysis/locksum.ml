@@ -367,10 +367,16 @@ let direct_callees (defined : SSet.t) (f : Syntax.func) : string list =
     deterministic cycle-breaking kept), and unspecified functions —
     invisible to [Depgraph.build], which only sees [fn_to_check] — are
     woven in by the same callee-first DFS, so a specified caller of an
-    unannotated helper still sees the helper's summary. *)
-let analysis_order ~(funcs : (string * Syntax.func) list)
-    ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) : string list =
-  let g = Rc_refinedc.Depgraph.build to_check in
+    unannotated helper still sees the helper's summary.  [?graph] is the
+    unit's dependency graph when the caller already has it; without it,
+    one is built from [to_check]. *)
+let analysis_order ?graph ~(funcs : (string * Syntax.func) list)
+    ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) () : string list =
+  let g =
+    match graph with
+    | Some g -> g
+    | None -> Rc_refinedc.Depgraph.build to_check
+  in
   let defined = SSet.of_list (List.map fst funcs) in
   let seed =
     Rc_refinedc.Depgraph.topo_order g @ List.map fst funcs
@@ -400,10 +406,11 @@ end)
 
 (** Analyze every function body of one unit bottom-up, returning the
     per-function reports in analysis order.  Pure function of its
-    arguments — no session state, no caching — so it is recomputed by
-    each lint pass that needs it (the passes are independently
-    selectable; the walk is linear in the unit). *)
-let analyze ?(metas : (string * Rc_refinedc.Lang.fn_meta) list = [])
+    arguments — no session state, no caching.  {!Lint.run} sweeps once
+    per call and hands the reports to every concurrency pass it runs;
+    [?graph] (the driver's dependency graph of [to_check]) spares the
+    order computation a second graph build. *)
+let analyze ?graph ?(metas : (string * Rc_refinedc.Lang.fn_meta) list = [])
     ~(funcs : (string * Syntax.func) list)
     ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) () :
     func_report list =
@@ -426,7 +433,7 @@ let analyze ?(metas : (string * Rc_refinedc.Lang.fn_meta) list = [])
           (List.assoc_opt (label, idx) meta.Rc_refinedc.Lang.fm_stmt_locs)
   in
   let summaries : (string, summary) Hashtbl.t = Hashtbl.create 16 in
-  let order = analysis_order ~funcs ~to_check in
+  let order = analysis_order ?graph ~funcs ~to_check () in
   List.filter_map
     (fun name ->
       match List.assoc_opt name funcs with

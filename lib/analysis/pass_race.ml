@@ -1,6 +1,8 @@
 (** The concurrency lint passes (codes RC-L030..RC-L032).
 
-    All three run on top of one {!Locksum.analyze} sweep:
+    All three read the reports of one {!Locksum.analyze} sweep
+    ({!reports}), which {!Lint.run} computes at most once per call and
+    shares between whichever of the three passes are selected:
 
     - {b RC-L030} (warning, "race" pass): a shared, non-atomic access
       performed with an {e empty} must-lockset — the Eraser criterion.
@@ -26,17 +28,18 @@ module Syntax = Rc_caesium.Syntax
 module Diagnostic = Rc_util.Diagnostic
 module SSet = Dataflow.StringSet
 
-let reports ~metas ~(funcs : (string * Syntax.func) list)
-    ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) :
+(** The lockset reports of one unit; empty for a unit with no
+    synchronization idiom.  [?graph] is passed to {!Locksum.analyze}. *)
+let reports ?graph ~metas ~(funcs : (string * Syntax.func) list)
+    ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) () :
     Locksum.func_report list =
   if Locksum.unit_concurrent funcs then
-    Locksum.analyze ~metas ~funcs ~to_check ()
+    Locksum.analyze ?graph ~metas ~funcs ~to_check ()
   else []
 
 (* ---- RC-L030: shared access with empty lockset -------------------- *)
 
-let run_race ~metas ~funcs ~to_check : Diagnostic.t list =
-  let reports = reports ~metas ~funcs ~to_check in
+let run_race (reports : Locksum.func_report list) : Diagnostic.t list =
   (* one report per (function, path, kind), at the earliest location *)
   let found :
       (string * string * bool, Locksum.access * Rc_util.Srcloc.t) Hashtbl.t =
@@ -76,8 +79,7 @@ let run_race ~metas ~funcs ~to_check : Diagnostic.t list =
 
 (* ---- RC-L031: lock not released on some path ---------------------- *)
 
-let run_release ~metas ~funcs ~to_check : Diagnostic.t list =
-  let reports = reports ~metas ~funcs ~to_check in
+let run_release (reports : Locksum.func_report list) : Diagnostic.t list =
   List.concat_map
     (fun (r : Locksum.func_report) ->
       List.map
@@ -93,8 +95,7 @@ let run_release ~metas ~funcs ~to_check : Diagnostic.t list =
 
 (* ---- RC-L032: inconsistent lock order ----------------------------- *)
 
-let run_order ~metas ~funcs ~to_check : Diagnostic.t list =
-  let reports = reports ~metas ~funcs ~to_check in
+let run_order (reports : Locksum.func_report list) : Diagnostic.t list =
   let edges =
     List.concat_map (fun (r : Locksum.func_report) -> r.Locksum.f_order)
       reports

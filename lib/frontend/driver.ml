@@ -214,6 +214,13 @@ let replay_result (data : string) :
     functions speculatively. *)
 let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
     ~(session : Session.t) ~file (elaborated : Elab.elaborated) : t =
+  (* the function-level dependency graph: direct spec-level references
+     extracted from Caesium bodies + spec/invariant types, with content
+     digests per node.  Built once per check, unconditionally — it is a
+     cheap syntactic pass, it orders the lockset sweep of the lint
+     pre-pass, it keys the incremental cache, and it orders the cold-run
+     schedule (callees first) *)
+  let graph = Depgraph.build elaborated.to_check in
   (* lint pre-pass: a pure analysis of the elaborated unit, before any
      proof search, so its findings arrive even when checking later
      faults out.  It never changes verdicts — only the diagnostics list
@@ -222,8 +229,8 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
     if session.Session.lint.Session.l_enabled then
       Obs.timed obs ~cat:"phase" ~key:"phase.lint" ~args:[ ("file", file) ]
         "phase:lint" (fun () ->
-          Rc_analysis.Lint.run ~obs ~metas:elaborated.Elab.metas ~session
-            ~file ~funcs:elaborated.Elab.program.Syntax.funcs
+          Rc_analysis.Lint.run ~obs ~metas:elaborated.Elab.metas ~graph
+            ~session ~file ~funcs:elaborated.Elab.program.Syntax.funcs
             ~to_check:elaborated.Elab.to_check ())
     else []
   in
@@ -243,12 +250,6 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
   let campaign = Session.fault session in
   let exec = session.Session.exec in
   let incr_on = session.Session.inc.Session.in_enabled in
-  (* the function-level dependency graph: direct spec-level references
-     extracted from Caesium bodies + spec/invariant types, with content
-     digests per node.  Built unconditionally — it is a cheap syntactic
-     pass, it keys the incremental cache, and it orders the cold-run
-     schedule (callees first) *)
-  let graph = Depgraph.build elaborated.to_check in
   (* absolute whole-run deadline, measured from here; the supervisor
      measures its own from dispatch, a few microseconds later *)
   let deadline_watch = Rc_util.Budget.stopwatch () in
@@ -277,6 +278,8 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
       elaborated.to_check
   end;
   let indexed = List.mapi (fun i f -> (i, f)) elaborated.to_check in
+  (* the session's toolchain fingerprint, the same for every function *)
+  let config = Rc_refinedc.Typecheck.toolchain_fingerprint session in
   (* ---- probe the verification cache up-front (the dirty cone) ----
      Probing is a cheap sequential pass over digests: hits replay
      immediately, misses become the dirty set handed to the scheduler.
@@ -319,7 +322,7 @@ let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
     | Some vc ->
         if incr_on then begin
           let id = Depgraph.cache_id ~file name in
-          let components = Depgraph.components ~session graph f in
+          let components = Depgraph.components ~config ~session graph f in
           match Vercache.find_keyed ?fault:campaign vc ~id ~components with
           | Vercache.KHit data -> (
               match hit data "hit" with

@@ -31,7 +31,7 @@ type node = {
   n_deps : string list;
       (** direct dependencies: spec'd siblings this function's body or
           spec references, sorted, self-reference removed *)
-  n_body_digest : string;  (** Caesium body + loop invariants *)
+  n_body_digest : string;  (** {!Typecheck.body_digest}: body + invariants *)
   n_iface_digest : string;
       (** the exported interface: the spec signature — the only part of
           this function a caller's check can observe *)
@@ -142,11 +142,6 @@ let refs_of_invs (invs : (string * Lang.loop_inv) list) : SS.t =
 
 let digest (s : string) : string = Digest.to_hex (Digest.string s)
 
-let body_digest (ftc : Typecheck.fn_to_check) : string =
-  digest
-    (Syntax.show_func ftc.Typecheck.func
-    ^ "\x00" ^ Typecheck.invs_signature ftc.Typecheck.invs)
-
 let iface_digest (ftc : Typecheck.fn_to_check) : string =
   digest (Rtype.spec_signature ftc.Typecheck.spec)
 
@@ -182,7 +177,7 @@ let build (fns : Typecheck.fn_to_check list) : t =
             n_name = name;
             n_index = i;
             n_deps = deps;
-            n_body_digest = body_digest f;
+            n_body_digest = Typecheck.body_digest f;
             n_iface_digest = iface_digest f;
           } ))
       fns
@@ -260,9 +255,11 @@ let cone (g : t) (roots : string list) : string list =
     body, spec, invariants, then callees sorted by name) so the digested
     concatenation is deterministic; the component *names* let a miss be
     explained by diffing against the last stored manifest
-    ({!Rc_util.Vercache.find_keyed}). *)
-let components ~(session : Session.t) (g : t) (ftc : Typecheck.fn_to_check) :
-    (string * string) list =
+    ({!Rc_util.Vercache.find_keyed}).  [?config] is the session's
+    {!Typecheck.toolchain_fingerprint}, computed once per check by a
+    caller keying many functions; without it, it is recomputed here. *)
+let components ?config ~(session : Session.t) (g : t)
+    (ftc : Typecheck.fn_to_check) : (string * string) list =
   let name = ftc.Typecheck.spec.Rtype.fs_name in
   let n =
     match node g name with
@@ -275,12 +272,15 @@ let components ~(session : Session.t) (g : t) (ftc : Typecheck.fn_to_check) :
           n_name = name;
           n_index = 0;
           n_deps = [];
-          n_body_digest = body_digest ftc;
+          n_body_digest = Typecheck.body_digest ftc;
           n_iface_digest = iface_digest ftc;
         }
   in
   [
-    ("config", Typecheck.toolchain_fingerprint session);
+    ( "config",
+      match config with
+      | Some c -> c
+      | None -> Typecheck.toolchain_fingerprint session );
     ("budget", Typecheck.budget_signature session.Session.budget);
     ("body", n.n_body_digest);
     ("spec", n.n_iface_digest);

@@ -221,8 +221,10 @@ let toolchain_fingerprint (session : Session.t) : string =
          tag orphans every v3 whole-file entry so the two key families
          can never alias.  v5: the lint registry gained the concurrency
          passes (race/lockrel/lockord) — cached diagnostics from the
-         five-pass registry would silently miss RC-L03x reports *)
-      "refinedc-check-v5";
+         five-pass registry would silently miss RC-L03x reports.  v6: the
+         body component became {!body_digest}'s Marshal bytes instead of
+         the printed body, so old and new keys must not meet *)
+      "refinedc-check-v6";
       Sys.ocaml_version;
       Rules.fingerprint session.Session.index;
       Registry.fingerprint session.Session.registry;
@@ -253,6 +255,19 @@ let invs_signature (invs : (string * loop_inv) list) : string =
   in
   Fmt.str "%a" Fmt.(list ~sep:semi inv) invs
 
+(** The digest of what "the body" of a function is for caching: its
+    Caesium CFG and its loop invariants.  The CFG is hashed through its
+    [Marshal] bytes without sharing: [Syntax.func] is plain immutable
+    data (strings, ints, constructors — no closures, no floats, no
+    cycles), so that encoding is a deterministic, injective function of
+    the value's structure, and it costs a fraction of printing the body
+    with the derived printer. *)
+let body_digest (ftc : fn_to_check) : string =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string ftc.func [ Marshal.No_sharing ]
+       ^ "\x00" ^ invs_signature ftc.invs))
+
 (** The cache key for one function's check.  [specs_digest] covers the
     specifications of *all* functions in the file: a call's premise
     depends on the callee's spec, so any spec edit conservatively
@@ -263,9 +278,8 @@ let cache_key ~(session : Session.t) ~(specs_digest : string)
     [
       toolchain_fingerprint session;
       specs_digest;
-      Syntax.show_func ftc.func;
+      body_digest ftc;
       Rtype.spec_signature ftc.spec;
-      invs_signature ftc.invs;
       budget_signature session.Session.budget;
     ]
 

@@ -188,6 +188,94 @@ let depgraph_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The body digest: deterministic, and as discriminating as the body   *)
+(* ------------------------------------------------------------------ *)
+
+(* [g] reads one struct field; [f] and [h] differ only in the name of
+   their one local, and the integer-type edit below retypes [h]'s. *)
+let digest_src =
+  {|
+struct [[rc::refined_by("v: int")]] pair {
+  [[rc::field("v @ int<int>")]] int a;
+  [[rc::field("v @ int<int>")]] int b;
+};
+
+[[rc::parameters("n : int")]]
+[[rc::args("n @ int<int>")]]
+[[rc::returns("n @ int<int>")]]
+int f(int n) {
+  int m = 0;
+  return n;
+}
+
+[[rc::parameters("p : loc", "v : int")]]
+[[rc::args("p @ &own<v @ pair>")]]
+[[rc::ensures("own p : v @ pair")]]
+[[rc::returns("v @ int<int>")]]
+int g(struct pair* p) {
+  return p->a;
+}
+
+[[rc::parameters("n : int")]]
+[[rc::args("n @ int<int>")]]
+[[rc::returns("n @ int<int>")]]
+int h(int n) {
+  int k = 0;
+  return n;
+}
+|}
+
+let edit_src ~from ~to_ =
+  let edited = Str.replace_first (Str.regexp_string from) to_ digest_src in
+  Alcotest.(check bool) "edit applied" true (edited <> digest_src);
+  edited
+
+let body_digests src =
+  List.map
+    (fun (f : Rc_refinedc.Typecheck.fn_to_check) ->
+      ( f.Rc_refinedc.Typecheck.spec.Rc_refinedc.Rtype.fs_name,
+        Rc_refinedc.Typecheck.body_digest f ))
+    (elab src)
+
+(* the functions whose body digest differs between two sources *)
+let moved src src' =
+  List.filter_map
+    (fun ((name, d), (name', d')) ->
+      Alcotest.(check string) "same function order" name name';
+      if d <> d' then Some name else None)
+    (List.combine (body_digests src) (body_digests src'))
+
+let digest_tests =
+  [
+    Alcotest.test_case "two elaborations give equal body digests" `Quick
+      (fun () ->
+        List.iter
+          (fun src ->
+            Alcotest.(check (list (pair string string)))
+              "digests equal" (body_digests src) (body_digests src))
+          [ digest_src; chain 5; Corpus.loop_farm ~functions:3 () ]);
+    Alcotest.test_case "the graph's node digest is the body digest" `Quick
+      (fun () ->
+        let g = graph_of digest_src in
+        List.iter
+          (fun (name, d) ->
+            Alcotest.(check string) name d
+              (Option.get (Depgraph.node g name)).Depgraph.n_body_digest)
+          (body_digests digest_src));
+    Alcotest.test_case "an integer-type edit moves only that body digest"
+      `Quick (fun () ->
+        Alcotest.(check (list string))
+          "moved" [ "h" ]
+          (moved digest_src
+             (edit_src ~from:"int k = 0;" ~to_:"unsigned k = 0;")));
+    Alcotest.test_case "a struct-field edit moves only that body digest"
+      `Quick (fun () ->
+        Alcotest.(check (list string))
+          "moved" [ "g" ]
+          (moved digest_src (edit_src ~from:"p->a" ~to_:"p->b")));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Keyed cache entries: explained misses, stats, size cap              *)
 (* ------------------------------------------------------------------ *)
 
@@ -566,6 +654,7 @@ let () =
   Alcotest.run "incremental"
     [
       ("depgraph", depgraph_tests);
+      ("body-digest", digest_tests);
       ("keyed-cache", keyed_tests);
       ("dirty-cones", cone_tests);
       ("equivalence", stress_equivalence_tests @ studies_equivalence_tests);

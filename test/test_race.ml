@@ -391,6 +391,68 @@ void bump(int* counter) {
           (codes_of (no_race_codes ds)));
   ]
 
+(* ---------------------------------------------------------------- *)
+(* One lockset sweep per lint run: selecting passes one at a time,   *)
+(* all at once, or handing in the dependency graph are equivalent    *)
+(* ---------------------------------------------------------------- *)
+
+module Lint = Rc_analysis.Lint
+
+let lint_run ?graph ~passes ~file (el : Elab.elaborated) =
+  let session =
+    Rc_refinedc.Session.with_lint (session ())
+      { Rc_refinedc.Session.l_enabled = true; l_passes = passes;
+        l_werror = false }
+  in
+  Lint.run ?graph ~metas:el.Elab.metas ~session ~file
+    ~funcs:el.Elab.program.Rc_caesium.Syntax.funcs
+    ~to_check:el.Elab.to_check ()
+
+(* (file, source, the RC-L03x codes the input must draw) *)
+let equivalence_inputs () =
+  [
+    ("spinlock.c", base_src (), []);
+    ("barrier.c", read "barrier.c", []);
+    ("mpool.c", read "mpool.c", []);
+    ("spinlock_nolock.c", lock_removed_src (), [ "RC-L030" ]);
+    ("spinlock_hoisted.c", hoisted_src (), [ "RC-L030" ]);
+    ("leak.c", leak_src, [ "RC-L031" ]);
+    ("order.c", order_src, [ "RC-L032" ]);
+  ]
+
+let equivalence_tests =
+  [
+    Alcotest.test_case "all passes = union of single passes = with graph"
+      `Quick (fun () ->
+        List.iter
+          (fun (file, src, expect) ->
+            let el = elab ~file src in
+            let strs = List.map Diagnostic.to_string in
+            let all = lint_run ~passes:None ~file el in
+            let singles =
+              List.concat_map
+                (fun p -> lint_run ~passes:(Some [ p ]) ~file el)
+                Lint.pass_names
+            in
+            let graphed =
+              lint_run
+                ~graph:(Rc_refinedc.Depgraph.build el.Elab.to_check)
+                ~passes:None ~file el
+            in
+            Alcotest.(check (list string))
+              (file ^ ": all = single passes") (strs all)
+              (strs (Diagnostic.sort singles));
+            Alcotest.(check (list string))
+              (file ^ ": all = with graph") (strs all) (strs graphed);
+            List.iter
+              (fun code ->
+                Alcotest.(check bool)
+                  (file ^ ": " ^ code ^ " drawn") true
+                  (List.mem code (codes_of all)))
+              expect)
+          (equivalence_inputs ()));
+  ]
+
 let () =
   Alcotest.run "race"
     [
@@ -398,4 +460,5 @@ let () =
       ("differential", differential_tests);
       ("lock_farm", lock_farm_tests);
       ("fixtures", fixture_tests);
+      ("equivalence", equivalence_tests);
     ]
