@@ -10,12 +10,13 @@
     [--max-depth]) and a whole-run deadline ([--deadline]), and never
     aborts the whole file on a single function: checker crashes and
     budget exhaustion become structured per-function diagnostics, and
-    worker crashes are absorbed by the supervised pool ([-j N] spawns
-    the pool once per invocation).  Exit codes are stable: 0 =
-    everything verified, 1 = at least one verification failure, 2 = at
-    least one checker fault or exhausted budget (including a hit
-    [--deadline]), 130 = interrupted — SIGINT/SIGTERM stop the run
-    cooperatively and still flush a valid partial report. *)
+    worker crashes are absorbed by the supervised pool ([-j N] checks
+    the file's functions on a pool the driver owns for the check).
+    Exit codes are stable: 0 = everything verified, 1 = at least one
+    verification failure, 2 = at least one checker fault or exhausted
+    budget (including a hit [--deadline]), 130 = interrupted —
+    SIGINT/SIGTERM stop the run cooperatively and still flush a valid
+    partial report. *)
 
 open Cmdliner
 module Driver = Rc_frontend.Driver
@@ -119,17 +120,6 @@ let check_cmd =
              cache in $(docv) (created if missing) instead of re-proving \
              them.  Ignored under $(b,--cert), which must re-check real \
              derivations.")
-  in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:
-            "Disable dependency-cone incremental verification: key the \
-             cache on the whole file's spec digest (any spec edit \
-             re-proves every function) and dispatch in source order \
-             instead of cost-model order.  Verdicts are identical either \
-             way.")
   in
   let explain_cache =
     Arg.(
@@ -331,10 +321,10 @@ let check_cmd =
              Query it with $(b,refinedc stats).")
   in
   let run file deriv stats cert semtest fuel timeout max_depth fail_fast json
-      jobs cache no_incremental explain_cache cache_stats cache_max_mb memo
-      pgo default_only no_goal_simp trace profile no_lint lint_werror deadline
-      retries fault_seed fault_rate fault_sites fault_max explain_failure
-      profile_out runlog =
+      jobs cache explain_cache cache_stats cache_max_mb memo pgo default_only
+      no_goal_simp trace profile no_lint lint_werror deadline retries
+      fault_seed fault_rate fault_sites fault_max explain_failure profile_out
+      runlog =
     let budget = { Rc_util.Budget.fuel; timeout; max_depth } in
     (* the cache-family flags share --cache's fate under --cert (and are
        inert without --cache): warn once each, with the same phrasing
@@ -409,20 +399,10 @@ let check_cmd =
     in
     let interrupted = Atomic.make false in
     install_interrupt_handlers interrupted;
+    (* one invocation checks one file: the driver clamps [-j] to the
+       core count and owns the pool for that check *)
     let jobs =
       if jobs <= 0 then Rc_util.Supervisor.recommended_jobs () else jobs
-    in
-    (* the persistent supervised pool: spawned once per invocation, owned
-       here, threaded to the driver through the session.  [-j] is
-       clamped to the core count — oversubscribed worker domains only
-       add scheduling and GC-sync overhead, and on a single-core host
-       the fastest configuration is plain sequential execution (no pool
-       at all). *)
-    let jobs = min jobs (Rc_util.Supervisor.recommended_jobs ()) in
-    let pool =
-      if jobs > 1 && Rc_util.Supervisor.parallelism_available then
-        Some (Rc_util.Supervisor.create ~jobs ())
-      else None
     in
     let session =
       Api.create_session ~case_studies:true ~default_only ~no_goal_simp
@@ -433,16 +413,9 @@ let check_cmd =
             l_passes = None;
             l_werror = lint_werror;
           }
-        ?fault ?deadline ~retries ?pool
+        ?fault ?deadline ~retries
         ~cancel:(fun () -> Atomic.get interrupted)
-        ~memo ~incremental:(not no_incremental) ~forensics:explain_failure
-        ~profile:rule_profile ()
-    in
-    let session =
-      if explain_cache then
-        Rc_refinedc.Session.with_inc session
-          { session.Rc_refinedc.Session.inc with Rc_refinedc.Session.in_explain = true }
-      else session
+        ~memo ~forensics:explain_failure ~profile:rule_profile ()
     in
     (* resolve the ledger directory before [cache] is shadowed by the
        store handle: a bare --runlog rides in the --cache directory *)
@@ -483,9 +456,6 @@ let check_cmd =
               None)
       | None -> None
     in
-    Fun.protect ~finally:(fun () ->
-        Option.iter Rc_util.Supervisor.shutdown pool)
-    @@ fun () ->
     let run_watch = Rc_util.Budget.stopwatch () in
     match Driver.check_file ~session ~fail_fast ~jobs ?cache file with
     | exception Sys_error msg ->
@@ -720,11 +690,11 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc:"Verify the specified functions of FILE.")
     Term.(
       const run $ file $ deriv $ stats $ cert $ semtest $ fuel $ timeout
-      $ max_depth $ fail_fast $ json $ jobs $ cache $ no_incremental
-      $ explain_cache $ cache_stats $ cache_max_mb $ memo $ pgo
-      $ default_only $ no_goal_simp $ trace $ profile $ no_lint $ lint_werror
-      $ deadline $ retries $ fault_seed $ fault_rate $ fault_sites
-      $ fault_max $ explain_failure $ profile_out $ runlog)
+      $ max_depth $ fail_fast $ json $ jobs $ cache $ explain_cache
+      $ cache_stats $ cache_max_mb $ memo $ pgo $ default_only $ no_goal_simp
+      $ trace $ profile $ no_lint $ lint_werror $ deadline $ retries
+      $ fault_seed $ fault_rate $ fault_sites $ fault_max $ explain_failure
+      $ profile_out $ runlog)
 
 let lint_cmd =
   let file = Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE") in

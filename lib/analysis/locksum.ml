@@ -190,7 +190,7 @@ type fn_env = {
   e_esc : Escape.t;
   e_slots : SSet.t;
   e_paths : (string, Escape.path) Hashtbl.t;  (** rendering -> path *)
-  e_funcs : (string * Syntax.func) list;
+  e_funcs : (string, Syntax.func) Hashtbl.t;  (** the unit's bodies *)
   e_summaries : (string, summary) Hashtbl.t;
 }
 
@@ -243,7 +243,7 @@ let walk_stmts (env : fn_env) ~(emit : event -> unit) (st : SSet.t)
           | Syntax.Call { fn; args; _ } -> (
               match callee_name ~slots:env.e_slots fn with
               | Some f when Hashtbl.mem env.e_summaries f -> (
-                  match List.assoc_opt f env.e_funcs with
+                  match Hashtbl.find_opt env.e_funcs f with
                   | Some callee
                     when List.length callee.Syntax.args = List.length args ->
                       let sum = Hashtbl.find env.e_summaries f in
@@ -369,8 +369,9 @@ let direct_callees (defined : SSet.t) (f : Syntax.func) : string list =
     woven in by the same callee-first DFS, so a specified caller of an
     unannotated helper still sees the helper's summary.  [?graph] is the
     unit's dependency graph when the caller already has it; without it,
-    one is built from [to_check]. *)
+    one is built from [to_check].  [by_name] indexes [funcs]. *)
 let analysis_order ?graph ~(funcs : (string * Syntax.func) list)
+    ~(by_name : (string, Syntax.func) Hashtbl.t)
     ~(to_check : Rc_refinedc.Typecheck.fn_to_check list) () : string list =
   let g =
     match graph with
@@ -386,7 +387,7 @@ let analysis_order ?graph ~(funcs : (string * Syntax.func) list)
   let rec visit name =
     if SSet.mem name defined && not (Hashtbl.mem visited name) then begin
       Hashtbl.add visited name ();
-      (match List.assoc_opt name funcs with
+      (match Hashtbl.find_opt by_name name with
       | Some f -> List.iter visit (direct_callees defined f)
       | None -> ());
       out := name :: !out
@@ -418,25 +419,27 @@ let analyze ?graph ?(metas : (string * Rc_refinedc.Lang.fn_meta) list = [])
      caller has it (covers unspecified functions too), falling back to
      the [fn_to_check] copies *)
   let metas =
-    metas
-    @ List.map
-        (fun (ftc : Rc_refinedc.Typecheck.fn_to_check) ->
-          (ftc.Rc_refinedc.Typecheck.func.Syntax.fname,
-           ftc.Rc_refinedc.Typecheck.meta))
-        to_check
+    Rc_util.Xlist.index
+      (metas
+      @ List.map
+          (fun (ftc : Rc_refinedc.Typecheck.fn_to_check) ->
+            (ftc.Rc_refinedc.Typecheck.func.Syntax.fname,
+             ftc.Rc_refinedc.Typecheck.meta))
+          to_check)
   in
   let loc_of fname label idx =
-    match List.assoc_opt fname metas with
+    match Hashtbl.find_opt metas fname with
     | None -> Srcloc.dummy
     | Some meta ->
         Option.value ~default:Srcloc.dummy
           (List.assoc_opt (label, idx) meta.Rc_refinedc.Lang.fm_stmt_locs)
   in
   let summaries : (string, summary) Hashtbl.t = Hashtbl.create 16 in
-  let order = analysis_order ?graph ~funcs ~to_check () in
+  let by_name = Rc_util.Xlist.index funcs in
+  let order = analysis_order ?graph ~funcs ~by_name ~to_check () in
   List.filter_map
     (fun name ->
-      match List.assoc_opt name funcs with
+      match Hashtbl.find_opt by_name name with
       | None -> None
       | Some f ->
           let env =
@@ -446,7 +449,7 @@ let analyze ?graph ?(metas : (string * Rc_refinedc.Lang.fn_meta) list = [])
                 SSet.of_list
                   (List.map fst (f.Syntax.args @ f.Syntax.locals));
               e_paths = Hashtbl.create 8;
-              e_funcs = funcs;
+              e_funcs = by_name;
               e_summaries = summaries;
             }
           in
@@ -526,7 +529,7 @@ let analyze ?graph ?(metas : (string * Rc_refinedc.Lang.fn_meta) list = [])
                           a_path = p;
                           a_write = false;
                           a_loc =
-                            (match List.assoc_opt name metas with
+                            (match Hashtbl.find_opt metas name with
                             | None -> Srcloc.dummy
                             | Some meta ->
                                 Option.value ~default:Srcloc.dummy

@@ -11,9 +11,10 @@
 
     Function checks are independent of each other (the frontend fixes
     every spec before checking starts), so the driver can fan
-    {!check_fn_isolated} out across a supervised worker pool ([~jobs],
-    or a persistent {!Rc_util.Supervisor} carried by the session) and/or
-    replay verdicts from a {!Rc_util.Vercache} ([~cache]); both are
+    {!check_fn_isolated} out across a supervised worker pool (a per-call
+    one sized by [~jobs], or a persistent {!Rc_util.Supervisor} carried
+    by the session) and/or replay verdicts from a {!Rc_util.Vercache}
+    ([~cache]) keyed on each function's dependency cone; both are
     observationally identical to the sequential, uncached run — same
     verdicts, same aggregate statistics, same exit code.
 
@@ -40,16 +41,9 @@ type check_result = {
   why : string option;
       (** why the cache behaved as it did for this function: ["hit"], a
           {!Rc_util.Vercache.reason_label} miss explanation
-          (["new"], ["changed:body+callee:f"], …), or legacy-mode
-          ["miss"]/["corrupt"]; [None] without a cache *)
+          (["new"], ["changed:body+callee:f"], …), or ["corrupt"] for an
+          unreadable payload; [None] without a cache *)
 }
-
-(* Where a freshly proved verdict will be stored: under the legacy
-   whole-file key, or as a cone-keyed entry with its manifest. *)
-type store_plan =
-  | No_store
-  | Legacy of string
-  | Keyed of string * (string * string) list  (* manifest id, components *)
 
 (** How the run ended: normally, stopped by the whole-run deadline, or
     stopped by cooperative cancellation (SIGINT/SIGTERM).  Either early
@@ -67,7 +61,7 @@ type t = {
       (** the dirty functions in the order they were dispatched:
           longest-measured-job first from [costs.prof], topological
           (callees first) for unmeasured ties, source order under
-          [~fail_fast] or with incrementality off *)
+          [~fail_fast] *)
   results : check_result list;
   skipped : string list;
       (** functions not attempted: under [~fail_fast], after the
@@ -179,22 +173,468 @@ let replay_result (data : string) :
            })
   | exception _ -> None
 
-(** Verify every specified function of an already-elaborated file.
+(* ------------------------------------------------------------------ *)
+(* Check stages                                                        *)
+(* ------------------------------------------------------------------ *)
 
-    Dispatch goes through {!Rc_util.Supervisor}: the session's
-    persistent pool if it carries one ([x_pool] — spawned once per CLI
-    invocation or bench session, the fix for the old spawn-per-run
-    slowdown), else a transient pool for [~jobs > 1], else the
-    sequential engine.  Results come back in source order regardless —
-    the workers share the session read-only, so parallelism is
-    race-free by construction.  A fault campaign on the session no
-    longer forces sequential checking: campaigns are domain-safe, and a
-    chaos run *wants* the parallel dispatch path exercised (sequential
-    replay determinism still holds at [jobs = 1], where hits draw from
-    the seeded stream in hit order).
+(* [check_elaborated] is the composition lint → probe → order →
+   dispatch → assemble.  Each stage is a plain function from the
+   previous stage's output to its own; the per-check context [cx] is
+   what they all read. *)
 
-    [~cache] replays previously-proved verdicts (see the cache-key
-    definition in {!Rc_refinedc.Typecheck.cache_key}); the campaign's
+let fn_name (f : Rc_refinedc.Typecheck.fn_to_check) =
+  f.spec.Rc_refinedc.Rtype.fs_name
+
+(* What every stage of one check reads. *)
+type ctx = {
+  c_session : Session.t;
+  c_file : string;
+  c_cache : Vercache.t option;
+  c_fail_fast : bool;
+  c_children : Obs.t array;
+      (* one observability handle per function, by source index (lane
+         1 + index, so each function is its own track in Perfetto) *)
+}
+
+(* A function the probe could not replay. *)
+type dirty = {
+  d_idx : int;  (* source index: the merge key and the obs lane *)
+  d_fn : Rc_refinedc.Typecheck.fn_to_check;
+  d_why : string option;  (* the miss explanation; [None] without a cache *)
+  d_store : (string * (string * string) list) option;
+      (* where a fresh [Ok] verdict is stored: manifest id, components *)
+}
+
+type probed = {
+  p_hits : (int * check_result) list;  (* replayed, by source index *)
+  p_dirty : dirty list;  (* everything else, in source order *)
+}
+
+type dispatched = {
+  dp_outcomes : check_result Supervisor.outcome list;
+      (* aligned with the schedule *)
+  dp_stats : Supervisor.run_stats;
+  dp_jobs : int;  (* worker count actually used *)
+}
+
+(* Frontend warnings plus the lint passes, sorted. *)
+let run_lint ?graph ~obs ~session ~file (elaborated : Elab.elaborated) =
+  let lint_diags =
+    Obs.timed obs ~cat:"phase" ~key:"phase.lint" ~args:[ ("file", file) ]
+      "phase:lint" (fun () ->
+        Rc_analysis.Lint.run ~obs ~metas:elaborated.Elab.metas ?graph
+          ~session ~file ~funcs:elaborated.Elab.program.Syntax.funcs
+          ~to_check:elaborated.Elab.to_check ())
+  in
+  Rc_util.Diagnostic.sort (elaborated.Elab.warnings @ lint_diags)
+
+(** Lint stage: a pure analysis of the elaborated unit, before any
+    proof search, so its findings arrive even when checking later
+    faults out.  It never changes verdicts — only the diagnostics list
+    (and, under [l_werror], the exit code).  The lockset sweep reuses
+    the check's dependency graph. *)
+let lint_stage ~obs ~graph ~(session : Session.t) ~file
+    (elaborated : Elab.elaborated) : Rc_util.Diagnostic.t list =
+  if session.Session.lint.Session.l_enabled then
+    run_lint ~graph ~obs ~session ~file elaborated
+  else Rc_util.Diagnostic.sort elaborated.Elab.warnings
+
+(* One observability child per function, each on its own named lane. *)
+let fn_lanes obs (to_check : Rc_refinedc.Typecheck.fn_to_check list) :
+    Obs.t array =
+  let children =
+    Array.of_list (List.mapi (fun i _ -> Obs.child obs ~tid:(i + 1)) to_check)
+  in
+  if Obs.on obs then begin
+    Rc_util.Trace.name_lane (Obs.tr obs) ~tid:0 "pipeline";
+    List.iteri
+      (fun i f ->
+        Rc_util.Trace.name_lane (Obs.tr obs) ~tid:(i + 1) ("fn:" ^ fn_name f))
+      to_check
+  end;
+  children
+
+(** Probe stage: look every function up in the verification cache,
+    keyed on its dependency cone ({!Depgraph.components}).  Probing is
+    a cheap sequential pass over digests: hits replay immediately,
+    misses become the dirty set with a manifest-diff explanation.  The
+    campaign's ["cache.read"] site is armed on every lookup; an
+    injection there degrades to a miss, never a wrong verdict. *)
+let probe ~graph (cx : ctx)
+    (to_check : Rc_refinedc.Typecheck.fn_to_check list) : probed =
+  let dirty ?why ?store i f =
+    { d_idx = i; d_fn = f; d_why = why; d_store = store }
+  in
+  match cx.c_cache with
+  | None ->
+      { p_hits = []; p_dirty = List.mapi (fun i f -> dirty i f) to_check }
+  | Some vc ->
+      let session = cx.c_session in
+      (* the session's toolchain fingerprint, the same for every function *)
+      let config = Rc_refinedc.Typecheck.toolchain_fingerprint session in
+      let probe_one i f =
+        let co = cx.c_children.(i) in
+        let name = fn_name f in
+        let watch = Rc_util.Budget.stopwatch () in
+        let cache_event kind =
+          if Obs.on co then begin
+            Obs.counter co ("cache." ^ kind);
+            Obs.instant co ~cat:"cache" ~args:[ ("fn", name) ]
+              ("cache:" ^ kind)
+          end
+        in
+        let id = Depgraph.cache_id ~file:cx.c_file name in
+        let components = Depgraph.components ~config ~session graph f in
+        let miss why = Either.Right (dirty ~why ~store:(id, components) i f) in
+        match
+          Vercache.find_keyed ?fault:(Session.fault session) vc ~id ~components
+        with
+        | Vercache.KHit data -> (
+            (* a readable entry whose payload this build cannot unmarshal
+               (e.g. written by a different compiler) degrades to a
+               corrupt-entry skip: re-prove and overwrite *)
+            match replay_result data with
+            | None ->
+                cache_event "corrupt";
+                miss "corrupt"
+            | Some outcome ->
+                cache_event "hit";
+                if Obs.on co then begin
+                  Obs.span_begin co ~cat:"check" ~args:[ ("fn", name) ]
+                    ("fn:" ^ name);
+                  Obs.instant co ~cat:"check"
+                    ~args:[ ("status", "verified") ]
+                    "verdict";
+                  Obs.span_end co ~cat:"check" ("fn:" ^ name);
+                  Obs.observe_ns co ("fn.ns." ^ name)
+                    (Int64.of_float (watch () *. 1e9))
+                end;
+                Either.Left
+                  ( i,
+                    { name; outcome; time_s = watch (); cached = true;
+                      why = Some "hit" } ))
+        | Vercache.KMiss reason ->
+            cache_event
+              (match reason with
+              | Vercache.Collision -> "corrupt"
+              | Vercache.Fresh | Vercache.Changed _ | Vercache.Evicted ->
+                  "miss");
+            miss (Vercache.reason_label reason)
+      in
+      (* [List.mapi] probes in source order: a fault campaign's cache
+         sites draw from its seeded stream in that order *)
+      let hits, dirty =
+        List.partition_map Fun.id (List.mapi probe_one to_check)
+      in
+      { p_hits = hits; p_dirty = dirty }
+
+(* The cost model: per-function wall-clock samples kept in [costs.prof]
+   next to the cache (Profstore format, last sample wins). *)
+let cost_store (cx : ctx) : Rc_util.Profstore.t option =
+  match cx.c_cache with
+  | Some vc when not (Vercache.disabled vc) ->
+      Some (Rc_util.Profstore.create ~file:"costs.prof" vc.Vercache.dir)
+  | _ -> None
+
+(** Order stage: longest measured job first, unmeasured ties in
+    topological order (callees first, so a cold run proves leaves while
+    callers wait on workers).  [~fail_fast] keeps source order: its
+    contract is "nothing after the first failure", which only means
+    anything in a fixed order. *)
+let order ~graph ~costs (cx : ctx) (dirty : dirty list) : dirty list =
+  if cx.c_fail_fast then dirty
+  else begin
+    let topo_pos = Hashtbl.create 16 in
+    List.iteri
+      (fun i n -> Hashtbl.replace topo_pos n i)
+      (Depgraph.topo_order graph);
+    let cost_tbl = Hashtbl.create 16 in
+    Option.iter
+      (fun st ->
+        List.iter
+          (fun (k, v) -> Hashtbl.replace cost_tbl k v)
+          (Rc_util.Profstore.load st))
+      costs;
+    let cost n =
+      Option.value ~default:0
+        (Hashtbl.find_opt cost_tbl (cx.c_file ^ ":" ^ n))
+    in
+    let pos n = Option.value ~default:max_int (Hashtbl.find_opt topo_pos n) in
+    List.stable_sort
+      (fun d1 d2 ->
+        let n1 = fn_name d1.d_fn and n2 = fn_name d2.d_fn in
+        match Int.compare (cost n2) (cost n1) with
+        | 0 -> Int.compare (pos n1) (pos n2)
+        | c -> c)
+      dirty
+  end
+
+(* Check one dirty function in its private obs child and store a fresh
+   [Ok] verdict under its cone key.  The per-function budget timeout is
+   capped by the time left on the whole-run deadline, so an in-flight
+   check cannot overshoot the run by more than the cap.  The cache key
+   was computed from the *original* session (at probe time): only [Ok]
+   verdicts are cached and verdicts are budget-monotone, so the capped
+   session can only turn would-be verdicts into (uncached)
+   exhaustions. *)
+let check_dirty ~specs ~deadline_watch (cx : ctx) (d : dirty) : check_result =
+  let co = cx.c_children.(d.d_idx) in
+  let watch = Rc_util.Budget.stopwatch () in
+  let name = fn_name d.d_fn in
+  let sched_event what =
+    Obs.instant co ~cat:"sched"
+      ~args:
+        [ ("fn", name); ("domain", string_of_int (Supervisor.worker_id ())) ]
+      what
+  in
+  if Obs.on co then begin
+    Obs.counter co "pool.tasks";
+    sched_event "task:begin";
+    Obs.span_begin co ~cat:"check" ~args:[ ("fn", name) ] ("fn:" ^ name)
+  end;
+  let session =
+    match cx.c_session.Session.exec.Session.x_deadline with
+    | None -> cx.c_session
+    | Some dl ->
+        let remaining = Float.max 0.01 (dl -. deadline_watch ()) in
+        let b = cx.c_session.Session.budget in
+        let timeout =
+          match b.Rc_util.Budget.timeout with
+          | Some t -> Some (Float.min t remaining)
+          | None -> Some remaining
+        in
+        Session.with_budget cx.c_session { b with Rc_util.Budget.timeout }
+  in
+  let outcome = check_fn_isolated ~obs:co ~session ~specs d.d_fn in
+  (match (cx.c_cache, d.d_store, outcome) with
+  | Some vc, Some (id, components), Ok res ->
+      Vercache.store_keyed ?fault:(Session.fault cx.c_session) vc ~id
+        ~components
+        (cache_payload res.Rc_refinedc.Lang.E.stats)
+  | _ -> ());
+  let r = { name; outcome; time_s = watch (); cached = false; why = d.d_why } in
+  if Obs.on co then begin
+    Obs.instant co ~cat:"check"
+      ~args:
+        [ ( "status",
+            match r.outcome with
+            | Ok _ -> "verified"
+            | Error e -> if Report.is_fault e then "fault" else "failed" ) ]
+      "verdict";
+    Obs.span_end co ~cat:"check" ("fn:" ^ name);
+    Obs.observe_ns co ("fn.ns." ^ name) (Int64.of_float (r.time_s *. 1e9));
+    sched_event "task:end"
+  end;
+  r
+
+let cancel_poll (session : Session.t) =
+  match session.Session.exec.Session.x_cancel with
+  | Some c -> c
+  | None -> fun () -> false
+
+(** Dispatch stage: run the schedule through {!Rc_util.Supervisor} —
+    the session's persistent pool if it carries one ([x_pool]), else a
+    per-call pool for [~jobs > 1] (clamped to
+    {!Supervisor.recommended_jobs} and shut down on every exit path),
+    else the sequential engine.  A fault campaign arms the
+    ["pool.dispatch"] site on the pool path. *)
+let dispatch ~jobs ~specs ~deadline_watch (cx : ctx) (schedule : dirty list) :
+    dispatched =
+  let exec = cx.c_session.Session.exec in
+  let cancel = cancel_poll cx.c_session in
+  let retries = max 0 exec.Session.x_retries in
+  let should_retry (r : check_result) =
+    match r.outcome with Error e -> Report.is_transient e | Ok _ -> false
+  in
+  let is_transient = function
+    | Rc_util.Faultsim.Injected _ -> true
+    | _ -> false
+  in
+  let check_one = check_dirty ~specs ~deadline_watch cx in
+  let on_pool p =
+    let outcomes, stats =
+      Supervisor.run p ?deadline:exec.Session.x_deadline ~cancel ~retries
+        ~should_retry ~is_transient ?fault:(Session.fault cx.c_session)
+        check_one schedule
+    in
+    { dp_outcomes = outcomes; dp_stats = stats; dp_jobs = Supervisor.jobs p }
+  in
+  match exec.Session.x_pool with
+  | Some p -> on_pool p
+  | None ->
+      (* workers beyond the core count only add scheduling and GC-sync
+         overhead (on a single-core host, [-j 4] used to run ~3x slower
+         than [-j 1]); a session-supplied pool is exempt — its owner
+         sized it deliberately *)
+      let jobs = min (max 1 jobs) (Supervisor.recommended_jobs ()) in
+      if jobs > 1 && Supervisor.parallelism_available then begin
+        let p = Supervisor.create ~jobs () in
+        Fun.protect ~finally:(fun () -> Supervisor.shutdown p) (fun () ->
+            on_pool p)
+      end
+      else begin
+        (* sequential fail-fast attempts nothing after the first failure:
+           the failure flag rides the cancel poll, and {!assemble}
+           re-classifies that stop as an ordinary fail-fast skip *)
+        let ff_hit = ref false in
+        let check_one d =
+          let r = check_one d in
+          if cx.c_fail_fast && Result.is_error r.outcome then ff_hit := true;
+          r
+        in
+        let outcomes, stats =
+          Supervisor.run_seq ?deadline:exec.Session.x_deadline
+            ~cancel:(fun () -> cancel () || !ff_hit)
+            ~retries ~should_retry ~is_transient check_one schedule
+        in
+        { dp_outcomes = outcomes; dp_stats = stats; dp_jobs = 1 }
+      end
+
+(* Cache hits and dispatched verdicts by source index, plus the
+   indices the dispatcher never ran.  A task that (or whose worker)
+   died on every attempt keeps its slot as a structured checker
+   fault. *)
+let merge (probed : probed) (schedule : dirty list) (dp : dispatched) :
+    (int * check_result) list * (int * string) list =
+  let kept, not_run =
+    List.fold_left2
+      (fun (ks, ns) d outcome ->
+        match outcome with
+        | Supervisor.Done r -> ((d.d_idx, r) :: ks, ns)
+        | Supervisor.Fault fl ->
+            let msg =
+              Fmt.str "worker fault after %d attempt(s): %s"
+                fl.Supervisor.f_attempts fl.Supervisor.f_exn
+            in
+            let r =
+              { name = fn_name d.d_fn;
+                outcome = Error (Report.make (Report.Checker_fault msg));
+                time_s = 0.; cached = false; why = d.d_why }
+            in
+            ((d.d_idx, r) :: ks, ns)
+        | Supervisor.Not_run _ -> (ks, (d.d_idx, fn_name d.d_fn) :: ns))
+      ([], []) schedule dp.dp_outcomes
+  in
+  ( List.sort (fun (a, _) (b, _) -> Int.compare a b) (probed.p_hits @ kept),
+    List.rev not_run )
+
+(* Feed this run's wall-clock samples back into the cost model (the
+   *measured* checks only); a degraded store drops them silently. *)
+let record_costs (cx : ctx) costs (kept : (int * check_result) list) =
+  Option.iter
+    (fun st ->
+      Rc_util.Profstore.accumulate
+        ~merge:(fun _ fresh -> fresh)
+        st
+        (List.filter_map
+           (fun (_, r) ->
+             if r.cached || r.time_s <= 0. then None
+             else
+               Some
+                 ( cx.c_file ^ ":" ^ r.name,
+                   max 1 (int_of_float (r.time_s *. 1e6)) ))
+           kept))
+    costs
+
+(* Under [~fail_fast], truncate after the first failure exactly as
+   sequential fail-fast would have (a parallel run may have checked
+   later functions speculatively); the cut ones become skips. *)
+let fail_fast_cut (cx : ctx) kept =
+  let rec go acc = function
+    | [] -> (List.rev acc, [])
+    | (i, r) :: rest when Result.is_error r.outcome ->
+        (List.rev ((i, r) :: acc), List.map (fun (i, r) -> (i, r.name)) rest)
+    | x :: rest -> go (x :: acc) rest
+  in
+  if cx.c_fail_fast then go [] kept else (kept, [])
+
+(* Why the run stopped, and the supervision counters to report: the
+   fail-fast early exit routed through the cancel poll is an ordinary
+   skip, not a supervision event, so a fault-free report stays
+   all-zeros. *)
+let classify_stop (cx : ctx) (rs : Supervisor.run_stats) :
+    stop * Supervisor.run_stats =
+  let interrupted = cancel_poll cx.c_session () in
+  let stop =
+    match rs.Supervisor.rs_stop with
+    | Some Supervisor.Deadline -> Deadline
+    | Some Supervisor.Cancelled | None ->
+        if interrupted then Interrupted else Completed
+  in
+  if stop = Completed && rs.Supervisor.rs_stop <> None then
+    (stop, { rs with Supervisor.rs_stop = None; rs_not_run = 0 })
+  else (stop, rs)
+
+(* RC-X001: a Note, deliberately not a problem — degradation must never
+   change an exit code (even under --lint-werror), only explain where
+   the wall-clock went. *)
+let degraded_note ~file =
+  Rc_util.Diagnostic.make ~severity:Rc_util.Diagnostic.Note ~code:"RC-X001"
+    ~loc:
+      (Rc_util.Srcloc.make ~file ~start_line:1 ~start_col:0 ~end_line:1
+         ~end_col:0)
+    "worker pool degraded to sequential execution (respawn allowance \
+     exhausted); verdicts are unaffected"
+
+(** Assemble stage: results, faults and skips in source order — the
+    output order never depends on the dispatch schedule — and the
+    observability of the *kept* results (always a source-order prefix)
+    merged into the root.  Skips and fail-fast discards contribute
+    nothing, exactly as in a sequential run that never reached them. *)
+let assemble ~obs ~costs ~graph ~diagnostics (cx : ctx)
+    (elaborated : Elab.elaborated) (probed : probed) (schedule : dirty list)
+    (dp : dispatched) : t =
+  let kept, not_run = merge probed schedule dp in
+  record_costs cx costs kept;
+  let kept, cut = fail_fast_cut cx kept in
+  let results = List.map snd kept in
+  let skipped =
+    List.map snd
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) (cut @ not_run))
+  in
+  let stop, exec_stats = classify_stop cx dp.dp_stats in
+  let diagnostics =
+    if exec_stats.Supervisor.rs_degraded then
+      Rc_util.Diagnostic.sort (degraded_note ~file:cx.c_file :: diagnostics)
+    else diagnostics
+  in
+  if Obs.on obs then
+    List.iter (fun (i, _) -> Obs.absorb obs cx.c_children.(i)) kept;
+  let cache_stats =
+    Option.map
+      (fun _ ->
+        let hits = List.length (List.filter (fun r -> r.cached) results) in
+        (hits, List.length results - hits))
+      cx.c_cache
+  in
+  {
+    file = cx.c_file;
+    elaborated;
+    graph;
+    schedule = List.map (fun d -> fn_name d.d_fn) schedule;
+    results;
+    skipped;
+    stop;
+    exec_stats;
+    jobs = dp.dp_jobs;
+    cache_stats;
+    obs;
+    diagnostics;
+    werror = cx.c_session.Session.lint.Session.l_werror;
+  }
+
+(** Verify every specified function of an already-elaborated file:
+    build the dependency graph, then lint → probe → order → dispatch →
+    assemble.  Results come back in source order regardless of the
+    schedule — the workers share the session read-only, so parallelism
+    is race-free by construction — and a cached or parallel run is
+    observationally identical to the sequential, uncached one.  A fault
+    campaign on the session does not force sequential checking:
+    campaigns are domain-safe, and a chaos run *wants* the parallel
+    dispatch path exercised.
+
+    [~cache] replays previously-proved verdicts keyed on each
+    function's dependency cone ({!Depgraph.components}); the campaign's
     ["cache.read"]/["cache.write"] sites are armed on every cache
     access, and an injection there degrades to a miss or a skipped
     store — never a wrong verdict, never an abort.
@@ -205,460 +645,33 @@ let replay_result (data : string) :
     the output is identical to the sequential run.
 
     [~obs] is the observability root (lane 0).  Every function check
-    writes trace events and metrics into a private child handle (lane =
-    1 + source index, so each function is its own track in Perfetto);
-    the children of the *kept* results — always a source-order prefix —
-    are merged back into the root in source order, which makes trace and
-    metrics output deterministic across [-j N] and identical between a
-    sequential fail-fast run and a parallel one that checked extra
-    functions speculatively. *)
+    writes trace events and metrics into a private child handle; the
+    children of the kept results are merged back in source order, which
+    makes trace and metrics output deterministic across [-j N]. *)
 let check_elaborated ?(fail_fast = false) ?(jobs = 1) ?cache ?(obs = Obs.off)
     ~(session : Session.t) ~file (elaborated : Elab.elaborated) : t =
-  (* the function-level dependency graph: direct spec-level references
-     extracted from Caesium bodies + spec/invariant types, with content
-     digests per node.  Built once per check, unconditionally — it is a
-     cheap syntactic pass, it orders the lockset sweep of the lint
-     pre-pass, it keys the incremental cache, and it orders the cold-run
-     schedule (callees first) *)
-  let graph = Depgraph.build elaborated.to_check in
-  (* lint pre-pass: a pure analysis of the elaborated unit, before any
-     proof search, so its findings arrive even when checking later
-     faults out.  It never changes verdicts — only the diagnostics list
-     (and, under [l_werror], the exit code). *)
-  let lint_diags =
-    if session.Session.lint.Session.l_enabled then
-      Obs.timed obs ~cat:"phase" ~key:"phase.lint" ~args:[ ("file", file) ]
-        "phase:lint" (fun () ->
-          Rc_analysis.Lint.run ~obs ~metas:elaborated.Elab.metas ~graph
-            ~session ~file ~funcs:elaborated.Elab.program.Syntax.funcs
-            ~to_check:elaborated.Elab.to_check ())
-    else []
-  in
-  let diagnostics =
-    Rc_util.Diagnostic.sort (elaborated.Elab.warnings @ lint_diags)
-  in
-  let specs =
-    List.map
-      (fun (f : Rc_refinedc.Typecheck.fn_to_check) ->
-        (f.spec.Rc_refinedc.Rtype.fs_name, f.spec))
-      elaborated.to_check
-  in
-  let fn_name (f : Rc_refinedc.Typecheck.fn_to_check) =
-    f.spec.Rc_refinedc.Rtype.fs_name
-  in
-  let jobs = max 1 jobs in
-  let campaign = Session.fault session in
-  let exec = session.Session.exec in
-  let incr_on = session.Session.inc.Session.in_enabled in
-  (* absolute whole-run deadline, measured from here; the supervisor
+  let to_check = elaborated.Elab.to_check in
+  (* the function-level dependency graph, built once per check: it
+     orders the lint pre-pass's lockset sweep, keys the cache and orders
+     the cold-run schedule *)
+  let graph = Depgraph.build to_check in
+  let diagnostics = lint_stage ~obs ~graph ~session ~file elaborated in
+  (* the whole-run deadline is measured from here; the supervisor
      measures its own from dispatch, a few microseconds later *)
   let deadline_watch = Rc_util.Budget.stopwatch () in
-  (* the legacy whole-file key component, used only with incrementality
-     off: digests ALL sibling specs, so any spec edit dirties the file *)
-  let specs_digest =
-    match cache with
-    | Some _ when not incr_on ->
-        Vercache.fingerprint
-          (List.sort compare
-             (List.map
-                (fun (_, s) -> Rc_refinedc.Rtype.spec_signature s)
-                specs))
-    | _ -> ""
+  let cx =
+    { c_session = session; c_file = file; c_cache = cache;
+      c_fail_fast = fail_fast; c_children = fn_lanes obs to_check }
   in
-  let children =
-    Array.of_list
-      (List.mapi (fun i _ -> Obs.child obs ~tid:(i + 1)) elaborated.to_check)
+  let specs =
+    List.map (fun f -> (fn_name f, f.Rc_refinedc.Typecheck.spec)) to_check
   in
-  if Obs.on obs then begin
-    Rc_util.Trace.name_lane (Obs.tr obs) ~tid:0 "pipeline";
-    List.iteri
-      (fun i f ->
-        Rc_util.Trace.name_lane (Obs.tr obs) ~tid:(i + 1)
-          ("fn:" ^ fn_name f))
-      elaborated.to_check
-  end;
-  let indexed = List.mapi (fun i f -> (i, f)) elaborated.to_check in
-  (* the session's toolchain fingerprint, the same for every function *)
-  let config = Rc_refinedc.Typecheck.toolchain_fingerprint session in
-  (* ---- probe the verification cache up-front (the dirty cone) ----
-     Probing is a cheap sequential pass over digests: hits replay
-     immediately, misses become the dirty set handed to the scheduler.
-     Incremental mode keys each function on its dependency cone
-     ({!Depgraph.components}) with a manifest-diff miss explanation;
-     legacy mode keeps the whole-file spec-digest key. *)
-  let probe ((idx, f) : int * Rc_refinedc.Typecheck.fn_to_check) :
-      check_result option * (string option * store_plan) =
-    let co = children.(idx) in
-    let name = fn_name f in
-    let watch = Rc_util.Budget.stopwatch () in
-    let cache_event kind =
-      if Obs.on co then begin
-        Obs.counter co ("cache." ^ kind);
-        Obs.instant co ~cat:"cache" ~args:[ ("fn", name) ] ("cache:" ^ kind)
-      end
-    in
-    let hit data why =
-      (* a readable entry whose payload this build cannot unmarshal
-         (e.g. written by a different compiler) degrades to a
-         corrupt-entry skip: re-prove and overwrite *)
-      Option.map
-        (fun outcome ->
-          cache_event "hit";
-          if Obs.on co then begin
-            Obs.span_begin co ~cat:"check" ~args:[ ("fn", name) ]
-              ("fn:" ^ name);
-            Obs.instant co ~cat:"check"
-              ~args:[ ("status", "verified") ]
-              "verdict";
-            Obs.span_end co ~cat:"check" ("fn:" ^ name);
-            Obs.observe_ns co ("fn.ns." ^ name)
-              (Int64.of_float (watch () *. 1e9))
-          end;
-          { name; outcome; time_s = watch (); cached = true; why = Some why })
-        (replay_result data)
-    in
-    match cache with
-    | None -> (None, (None, No_store))
-    | Some vc ->
-        if incr_on then begin
-          let id = Depgraph.cache_id ~file name in
-          let components = Depgraph.components ~config ~session graph f in
-          match Vercache.find_keyed ?fault:campaign vc ~id ~components with
-          | Vercache.KHit data -> (
-              match hit data "hit" with
-              | Some r -> (Some r, (None, No_store))
-              | None ->
-                  cache_event "corrupt";
-                  (None, (Some "corrupt", Keyed (id, components))))
-          | Vercache.KMiss reason ->
-              cache_event
-                (match reason with
-                | Vercache.Collision -> "corrupt"
-                | Vercache.Fresh | Vercache.Changed _ | Vercache.Evicted ->
-                    "miss");
-              ( None,
-                ( Some (Vercache.reason_label reason),
-                  Keyed (id, components) ) )
-        end
-        else begin
-          let key = Rc_refinedc.Typecheck.cache_key ~session ~specs_digest f in
-          match Vercache.find_detailed ?fault:campaign vc ~key with
-          | Vercache.Hit data -> (
-              match hit data "hit" with
-              | Some r -> (Some r, (None, No_store))
-              | None ->
-                  cache_event "corrupt";
-                  (None, (Some "corrupt", Legacy key)))
-          | Vercache.Absent ->
-              cache_event "miss";
-              (None, (Some "miss", Legacy key))
-          | Vercache.Corrupt ->
-              cache_event "corrupt";
-              (None, (Some "corrupt", Legacy key))
-        end
-  in
-  let hits_rev, dirty_rev =
-    List.fold_left
-      (fun (hs, ds) (i, f) ->
-        match probe (i, f) with
-        | Some r, _ -> ((i, r) :: hs, ds)
-        | None, (why, plan) -> (hs, (i, f, why, plan) :: ds))
-      ([], []) indexed
-  in
-  let hits = List.rev hits_rev in
-  (* ---- schedule the dirty set ----
-     Longest measured job first (per-function wall-clock samples kept in
-     [costs.prof] next to the cache — Profstore format, last sample
-     wins), unmeasured ties in topological order (callees first, so a
-     cold run proves leaves while callers wait on workers).  [~fail_fast]
-     keeps source order: its contract is "nothing after the first
-     failure", which only means anything in a fixed order. *)
-  let costs_store =
-    match cache with
-    | Some vc when incr_on && not (Vercache.disabled vc) ->
-        Some (Rc_util.Profstore.create ~file:"costs.prof" vc.Vercache.dir)
-    | _ -> None
-  in
-  let dirty =
-    let dirty = List.rev dirty_rev in
-    if fail_fast || not incr_on then dirty
-    else begin
-      let topo_pos = Hashtbl.create 16 in
-      List.iteri
-        (fun i n -> Hashtbl.replace topo_pos n i)
-        (Depgraph.topo_order graph);
-      let cost_tbl = Hashtbl.create 16 in
-      (match costs_store with
-      | Some st ->
-          List.iter
-            (fun (k, v) -> Hashtbl.replace cost_tbl k v)
-            (Rc_util.Profstore.load st)
-      | None -> ());
-      let cost n =
-        Option.value ~default:0 (Hashtbl.find_opt cost_tbl (file ^ ":" ^ n))
-      in
-      let pos n =
-        Option.value ~default:max_int (Hashtbl.find_opt topo_pos n)
-      in
-      List.stable_sort
-        (fun (_, f1, _, _) (_, f2, _, _) ->
-          let n1 = fn_name f1 and n2 = fn_name f2 in
-          match Int.compare (cost n2) (cost n1) with
-          | 0 -> Int.compare (pos n1) (pos n2)
-          | c -> c)
-        dirty
-    end
-  in
-  let schedule = List.map (fun (_, f, _, _) -> fn_name f) dirty in
-  let check_one
-      ((idx, f, why, plan) :
-        int * Rc_refinedc.Typecheck.fn_to_check * string option * store_plan)
-      : check_result =
-    let co = children.(idx) in
-    let watch = Rc_util.Budget.stopwatch () in
-    let name = fn_name f in
-    if Obs.on co then begin
-      Obs.counter co "pool.tasks";
-      Obs.instant co ~cat:"sched"
-        ~args:
-          [ ("fn", name);
-            ("domain", string_of_int (Rc_util.Supervisor.worker_id ())) ]
-        "task:begin";
-      Obs.span_begin co ~cat:"check" ~args:[ ("fn", name) ] ("fn:" ^ name)
-    end;
-    (* cap this function's budget timeout by the time left on the
-       whole-run deadline, so an in-flight check cannot overshoot the
-       run by more than the cap.  The cache key was computed from the
-       *original* session (at probe time): only [Ok] verdicts are cached
-       and verdicts are budget-monotone, so the capped session can only
-       turn would-be verdicts into (uncached) exhaustions. *)
-    let session =
-      match exec.Session.x_deadline with
-      | None -> session
-      | Some d ->
-          let remaining = Float.max 0.01 (d -. deadline_watch ()) in
-          let b = session.Session.budget in
-          let timeout =
-            match b.Rc_util.Budget.timeout with
-            | Some t -> Some (Float.min t remaining)
-            | None -> Some remaining
-          in
-          Session.with_budget session { b with Rc_util.Budget.timeout }
-    in
-    let outcome = check_fn_isolated ~obs:co ~session ~specs f in
-    (match (cache, plan, outcome) with
-    | Some vc, Legacy key, Ok res ->
-        Vercache.store ?fault:campaign vc ~key
-          (cache_payload res.Rc_refinedc.Lang.E.stats)
-    | Some vc, Keyed (id, components), Ok res ->
-        Vercache.store_keyed ?fault:campaign vc ~id ~components
-          (cache_payload res.Rc_refinedc.Lang.E.stats)
-    | _ -> ());
-    let r = { name; outcome; time_s = watch (); cached = false; why } in
-    if Obs.on co then begin
-      Obs.instant co ~cat:"check"
-        ~args:
-          [ ( "status",
-              match r.outcome with
-              | Ok _ -> "verified"
-              | Error e -> if Report.is_fault e then "fault" else "failed" )
-          ]
-        "verdict";
-      Obs.span_end co ~cat:"check" ("fn:" ^ name);
-      Obs.observe_ns co ("fn.ns." ^ name) (Int64.of_float (r.time_s *. 1e9));
-      Obs.instant co ~cat:"sched"
-        ~args:
-          [ ("fn", name);
-            ("domain", string_of_int (Rc_util.Supervisor.worker_id ())) ]
-        "task:end"
-    end;
-    r
-  in
-  (* ---- dispatch through the supervisor ---- *)
-  let cancel =
-    match exec.Session.x_cancel with Some c -> c | None -> fun () -> false
-  in
-  let retries = max 0 exec.Session.x_retries in
-  let should_retry (r : check_result) =
-    match r.outcome with Error e -> Report.is_transient e | Ok _ -> false
-  in
-  let is_transient_exn = function
-    | Rc_util.Faultsim.Injected _ -> true
-    | _ -> false
-  in
-  let pool, transient =
-    match exec.Session.x_pool with
-    | Some p -> (Some p, false)
-    | None ->
-        (* clamp to what the hardware can actually run concurrently:
-           workers beyond the core count only add scheduling and GC-sync
-           overhead (on a single-core host, [-j 4] used to run ~3x
-           *slower* than [-j 1]).  A session-supplied pool is exempt —
-           its owner sized it deliberately. *)
-        let jobs = min jobs (Supervisor.recommended_jobs ()) in
-        if jobs > 1 && Supervisor.parallelism_available then
-          (* no session pool: spin up a per-call one (the historical
-             behaviour; callers that care about spawn cost carry a
-             persistent pool in the session instead) *)
-          (Some (Supervisor.create ~jobs ()), true)
-        else (None, false)
-  in
-  let jobs = match pool with Some p -> Supervisor.jobs p | None -> 1 in
-  (* sequential fail-fast preserves the historical early exit — nothing
-     after the first failure is even attempted — by feeding the failure
-     flag to the supervisor's cancel poll; the stop is re-classified as
-     an ordinary fail-fast skip below.  Parallel fail-fast keeps the
-     historical speculative-check-then-truncate semantics. *)
-  let ff_hit = ref false in
-  let check_one_seq task =
-    let r = check_one task in
-    if fail_fast && Result.is_error r.outcome then ff_hit := true;
-    r
-  in
-  let outcomes, rstats =
-    match pool with
-    | Some p ->
-        let r =
-          Supervisor.run p ?deadline:exec.Session.x_deadline ~cancel ~retries
-            ~should_retry ~is_transient:is_transient_exn ?fault:campaign
-            check_one dirty
-        in
-        if transient then Supervisor.shutdown p;
-        r
-    | None ->
-        Supervisor.run_seq ?deadline:exec.Session.x_deadline
-          ~cancel:(fun () -> cancel () || !ff_hit)
-          ~retries ~should_retry ~is_transient:is_transient_exn check_one_seq
-          dirty
-  in
-  (* ---- assemble results, faults and skips in source order ----
-     Cache hits and dirty verdicts merge by source index: the output
-     order never depends on the dispatch schedule. *)
-  let kept_rev, not_run_rev =
-    List.fold_left2
-      (fun (ks, ns) (i, f, why, _plan) outcome ->
-        match outcome with
-        | Supervisor.Done r -> ((i, r) :: ks, ns)
-        | Supervisor.Fault fl ->
-            (* the task (or its worker) died [fl.f_attempts] times; the
-               verdict slot survives as a structured checker fault *)
-            let r =
-              {
-                name = fn_name f;
-                outcome =
-                  Error
-                    (Report.make
-                       (Report.Checker_fault
-                          (Fmt.str "worker fault after %d attempt(s): %s"
-                             fl.Supervisor.f_attempts fl.Supervisor.f_exn)));
-                time_s = 0.;
-                cached = false;
-                why;
-              }
-            in
-            ((i, r) :: ks, ns)
-        | Supervisor.Not_run _ -> (ks, (i, fn_name f) :: ns))
-      ([], []) dirty outcomes
-  in
-  let kept =
-    List.sort
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (hits @ List.rev kept_rev)
-  in
-  (* feed this run's wall-clock samples back into the cost model (the
-     *measured* checks only); a degraded store drops them silently *)
-  (match costs_store with
-  | Some st ->
-      Rc_util.Profstore.accumulate
-        ~merge:(fun _ fresh -> fresh)
-        st
-        (List.filter_map
-           (fun (_, r) ->
-             if r.cached || r.time_s <= 0. then None
-             else
-               Some (file ^ ":" ^ r.name, max 1 (int_of_float (r.time_s *. 1e6))))
-           kept)
-  | None -> ());
-  let kept, cut =
-    if not fail_fast then (kept, [])
-    else
-      (* truncate after the first failure, exactly as sequential
-         fail-fast would have *)
-      let rec go acc = function
-        | [] -> (List.rev acc, [])
-        | (i, r) :: rest ->
-            if Result.is_error r.outcome then
-              (List.rev ((i, r) :: acc), List.map (fun (i, r) -> (i, r.name)) rest)
-            else go ((i, r) :: acc) rest
-      in
-      go [] kept
-  in
-  let results = List.map snd kept in
-  let skipped =
-    List.map snd
-      (List.sort
-         (fun (a, _) (b, _) -> Int.compare a b)
-         (cut @ List.rev not_run_rev))
-  in
-  let interrupted = cancel () in
-  let stop =
-    match rstats.Supervisor.rs_stop with
-    | Some Supervisor.Deadline -> Deadline
-    | Some Supervisor.Cancelled ->
-        (* distinguish a real interrupt from the fail-fast early exit
-           routed through the same cancel poll *)
-        if interrupted then Interrupted else Completed
-    | None -> if interrupted then Interrupted else Completed
-  in
-  let exec_stats =
-    if stop = Completed && rstats.Supervisor.rs_stop <> None then
-      (* the early stop was fail-fast: an ordinary skip, not a
-         supervision event — keep the fault-free report all-zeros *)
-      { rstats with Supervisor.rs_stop = None; rs_not_run = 0 }
-    else rstats
-  in
-  let diagnostics =
-    if exec_stats.Supervisor.rs_degraded then
-      (* a Note, deliberately not a problem: degradation must never
-         change an exit code (even under --lint-werror), only explain
-         where the wall-clock went *)
-      Rc_util.Diagnostic.sort
-        (Rc_util.Diagnostic.make ~severity:Rc_util.Diagnostic.Note
-           ~code:"RC-X001"
-           ~loc:
-             (Rc_util.Srcloc.make ~file ~start_line:1 ~start_col:0
-                ~end_line:1 ~end_col:0)
-           "worker pool degraded to sequential execution (respawn \
-            allowance exhausted); verdicts are unaffected"
-        :: diagnostics)
-    else diagnostics
-  in
-  (* merge the kept results' observability by source index — skips and
-     fail-fast discards contribute nothing, exactly as in a sequential
-     run that never reached them *)
-  if Obs.on obs then List.iter (fun (i, _) -> Obs.absorb obs children.(i)) kept;
-  let cache_stats =
-    match cache with
-    | None -> None
-    | Some _ ->
-        let hits = List.length (List.filter (fun r -> r.cached) results) in
-        Some (hits, List.length results - hits)
-  in
-  {
-    file;
-    elaborated;
-    graph;
-    schedule;
-    results;
-    skipped;
-    stop;
-    exec_stats;
-    jobs;
-    cache_stats;
-    obs;
-    diagnostics;
-    werror = session.Session.lint.Session.l_werror;
-  }
+  let probed = probe ~graph cx to_check in
+  let costs = cost_store cx in
+  let schedule = order ~graph ~costs cx probed.p_dirty in
+  let dispatched = dispatch ~jobs ~specs ~deadline_watch cx schedule in
+  assemble ~obs ~costs ~graph ~diagnostics cx elaborated probed schedule
+    dispatched
 
 (** Lint (only) an already-elaborated file: frontend warnings plus every
     registered pass, regardless of the session's [l_enabled] /
@@ -671,14 +684,7 @@ let lint_elaborated ?(obs = Obs.off) ?passes ~(session : Session.t) ~file
     Session.with_lint session
       { Session.l_enabled = true; l_passes = passes; l_werror = false }
   in
-  let lint_diags =
-    Obs.timed obs ~cat:"phase" ~key:"phase.lint" ~args:[ ("file", file) ]
-      "phase:lint" (fun () ->
-        Rc_analysis.Lint.run ~obs ~metas:elaborated.Elab.metas ~session
-          ~file ~funcs:elaborated.Elab.program.Syntax.funcs
-          ~to_check:elaborated.Elab.to_check ())
-  in
-  Rc_util.Diagnostic.sort (elaborated.Elab.warnings @ lint_diags)
+  run_lint ~obs ~session ~file elaborated
 
 (** Resolve the session for one check invocation: the caller's session,
     optionally with a one-shot budget override (a CLI convenience — the
@@ -809,6 +815,45 @@ let result_to_json ?(timings = true) (r : check_result) : Rc_util.Jsonout.t =
             ("diagnostic", Report.to_json e);
           ])
 
+(* The report blocks {!to_json} and {!runlog_record} share. *)
+
+let cache_json (t : t) : Rc_util.Jsonout.t =
+  let open Rc_util.Jsonout in
+  match t.cache_stats with
+  | None -> Null
+  | Some (hits, misses) ->
+      Obj
+        [
+          ("hits", Int hits);
+          ("misses", Int misses);
+          ( "hit_rate",
+            Float
+              (if hits + misses = 0 then 0.
+               else float_of_int hits /. float_of_int (hits + misses)) );
+        ]
+
+(* supervision counters: all zero on a fault-free, deadline-free run,
+   which keeps -j1/-j4 reports byte-identical *)
+let exec_json (t : t) : Rc_util.Jsonout.t =
+  let open Rc_util.Jsonout in
+  let e = t.exec_stats in
+  Obj
+    [
+      ("retries", Int e.Supervisor.rs_retries);
+      ("task_faults", Int e.Supervisor.rs_task_faults);
+      ("worker_crashes", Int e.Supervisor.rs_crashes);
+      ("respawns", Int e.Supervisor.rs_respawns);
+      ("not_run", Int e.Supervisor.rs_not_run);
+      ("degraded", Bool e.Supervisor.rs_degraded);
+    ]
+
+let stop_json (t : t) : Rc_util.Jsonout.t =
+  Rc_util.Jsonout.Str
+    (match t.stop with
+    | Completed -> "completed"
+    | Deadline -> "deadline"
+    | Interrupted -> "interrupted")
+
 (** The report is a pure function of the session configuration and the
     source: run-environment inputs (the [-j N] worker count) are not
     echoed, and [~timings:false] zeroes the wall-clock fields — the only
@@ -821,42 +866,12 @@ let to_json ?(timings = true) (t : t) : Rc_util.Jsonout.t =
       ("file", Str t.file);
       ("ok", Bool (all_ok t));
       ("exit_code", Int (exit_code t));
-      ( "cache",
-        match t.cache_stats with
-        | None -> Null
-        | Some (hits, misses) ->
-            Obj
-              [
-                ("hits", Int hits);
-                ("misses", Int misses);
-                ( "hit_rate",
-                  Float
-                    (if hits + misses = 0 then 0.
-                     else float_of_int hits /. float_of_int (hits + misses))
-                );
-              ] );
+      ("cache", cache_json t);
       ("functions", List (List.map (result_to_json ~timings) t.results));
       ("skipped", List (List.map (fun s -> Str s) t.skipped));
-      ( "stop",
-        Str
-          (match t.stop with
-          | Completed -> "completed"
-          | Deadline -> "deadline"
-          | Interrupted -> "interrupted") );
+      ("stop", stop_json t);
       ("interrupted", Bool (t.stop = Interrupted));
-      (* supervision counters: all zero on a fault-free, deadline-free
-         run, which keeps -j1/-j4 reports byte-identical *)
-      ( "exec",
-        let e = t.exec_stats in
-        Obj
-          [
-            ("retries", Int e.Supervisor.rs_retries);
-            ("task_faults", Int e.Supervisor.rs_task_faults);
-            ("worker_crashes", Int e.Supervisor.rs_crashes);
-            ("respawns", Int e.Supervisor.rs_respawns);
-            ("not_run", Int e.Supervisor.rs_not_run);
-            ("degraded", Bool e.Supervisor.rs_degraded);
-          ] );
+      ("exec", exec_json t);
       ( "diagnostics",
         List (List.map Rc_util.Diagnostic.to_json t.diagnostics) );
       ( "coverage",
@@ -965,7 +980,6 @@ let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
                      ])) );
       ]
   in
-  let e = t.exec_stats in
   Obj
     ([
        ("schema", Str Rc_util.Runlog.schema_version);
@@ -988,20 +1002,7 @@ let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
              ("faults", Int faults_n);
              ("skipped", Int (List.length t.skipped));
            ] );
-       ( "cache",
-         match t.cache_stats with
-         | None -> Null
-         | Some (hits, misses) ->
-             Obj
-               [
-                 ("hits", Int hits);
-                 ("misses", Int misses);
-                 ( "hit_rate",
-                   Float
-                     (if hits + misses = 0 then 0.
-                      else float_of_int hits /. float_of_int (hits + misses))
-                 );
-               ] );
+       ("cache", cache_json t);
        ("cache_why", Obj why_histogram);
        ( "fn_wall",
          Obj
@@ -1010,22 +1011,8 @@ let runlog_record ~(session : Session.t) ~(wall_s : float) (t : t) :
              ("p50_s", pct 0.5);
              ("p95_s", pct 0.95);
            ] );
-       ( "exec",
-         Obj
-           [
-             ("retries", Int e.Supervisor.rs_retries);
-             ("task_faults", Int e.Supervisor.rs_task_faults);
-             ("worker_crashes", Int e.Supervisor.rs_crashes);
-             ("respawns", Int e.Supervisor.rs_respawns);
-             ("not_run", Int e.Supervisor.rs_not_run);
-             ("degraded", Bool e.Supervisor.rs_degraded);
-           ] );
-       ( "stop",
-         Str
-           (match t.stop with
-           | Completed -> "completed"
-           | Deadline -> "deadline"
-           | Interrupted -> "interrupted") );
+       ("exec", exec_json t);
+       ("stop", stop_json t);
      ]
     @ metrics_fields)
 

@@ -39,7 +39,8 @@ type node = {
 
 type t = {
   nodes : (string * node) list;  (** in source order *)
-  rdeps : (string * string list) list;
+  by_name : (string, node) Hashtbl.t;  (** [nodes], indexed by name *)
+  rdeps : (string, string list) Hashtbl.t;
       (** reverse edges: function ↦ its direct callers, sorted *)
 }
 
@@ -193,16 +194,19 @@ let build (fns : Typecheck.fn_to_check list) : t =
         node.n_deps)
     nodes;
   let rdeps =
-    List.map
-      (fun (name, _) ->
-        ( name,
-          List.sort compare
-            (Option.value ~default:[] (Hashtbl.find_opt rdeps_tbl name)) ))
-      nodes
+    Rc_util.Xlist.index
+      (List.map
+         (fun (name, _) ->
+           ( name,
+             List.sort compare
+               (Option.value ~default:[] (Hashtbl.find_opt rdeps_tbl name)) ))
+         nodes)
   in
-  { nodes; rdeps }
+  { nodes; by_name = Rc_util.Xlist.index nodes; rdeps }
 
-let node (g : t) (name : string) : node option = List.assoc_opt name g.nodes
+let node (g : t) (name : string) : node option =
+  Hashtbl.find_opt g.by_name name
+
 let names (g : t) : string list = List.map fst g.nodes
 
 (** Direct dependencies (spec'd functions this one references). *)
@@ -211,7 +215,7 @@ let direct_deps (g : t) (name : string) : string list =
 
 (** Direct dependents (spec'd functions that reference this one). *)
 let dependents (g : t) (name : string) : string list =
-  Option.value ~default:[] (List.assoc_opt name g.rdeps)
+  Option.value ~default:[] (Hashtbl.find_opt g.rdeps name)
 
 (** Dependency-respecting order: callees before callers, source order
     within a stratum; cycles (mutual recursion) are broken at the

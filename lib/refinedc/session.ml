@@ -68,24 +68,6 @@ type memo_cfg = {
 
 let default_memo : memo_cfg = { mm_enabled = false; mm_max = 4096 }
 
-(** Incremental-verification configuration: how the driver keys the
-    on-disk cache and schedules dirty work.  Like {!exec_cfg} this never
-    changes verdicts — cone keying decides what is *re-verified*, and
-    the early-cutoff argument (DESIGN.md §12) shows the cone covers
-    every input a check reads — but unlike [exec] the choice of key
-    *family* is visible in the cache directory, so incremental and
-    whole-file entries never alias (the keys carry distinct tags). *)
-type inc_cfg = {
-  in_enabled : bool;
-      (** cone-keyed entries + cost-ordered dirty scheduling (default);
-          off = legacy whole-file spec-digest keys in source order *)
-  in_explain : bool;
-      (** collect per-function dirty reasons even when not printed (the
-          driver always records them; this gates the CLI's report) *)
-}
-
-let default_inc : inc_cfg = { in_enabled = true; in_explain = false }
-
 (** Proof-failure forensics configuration ([--explain-failure]): when
     enabled, the engine attaches a bounded derivation snapshot — goal
     stack, candidate rules with rejection reasons, evar state, recent
@@ -121,7 +103,6 @@ type t = {
   lint : lint_cfg;  (** pre-verification static analysis configuration *)
   exec : exec_cfg;  (** execution robustness: pool, deadline, retries *)
   memo : memo_cfg;  (** within-run subgoal memoization *)
-  inc : inc_cfg;  (** incremental verification: cone keys + scheduling *)
   fx : fx_cfg;  (** proof-failure forensics capture *)
   profile : (string * int) list;
       (** the rule-hit profile the index was compiled with ([--pgo]);
@@ -136,7 +117,7 @@ let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     ?(gs = Rc_lithium.Evar.default_simp_cfg) ?tenv
     ?(budget = Rc_util.Budget.unlimited) ?(obs = Rc_util.Obs.cfg_off)
     ?(lint = default_lint) ?(exec = default_exec) ?(memo = default_memo)
-    ?(inc = default_inc) ?(fx = default_fx) ?(profile = []) () : t =
+    ?(fx = default_fx) ?(profile = []) () : t =
   {
     index = Rules.make ~extra:rules ~profile ();
     extra_rules = rules;
@@ -148,7 +129,6 @@ let create ?(rules = []) ?(registry = Rc_pure.Registry.default)
     lint;
     exec;
     memo;
-    inc;
     fx;
     profile;
   }
@@ -176,10 +156,6 @@ let with_exec (s : t) exec : t = { s with exec }
 (** Replace the memoization configuration (a CLI convenience, like
     {!with_budget}). *)
 let with_memo (s : t) memo : t = { s with memo }
-
-(** Replace the incremental-verification configuration (a CLI
-    convenience, like {!with_budget}). *)
-let with_inc (s : t) inc : t = { s with inc }
 
 (** Replace the forensics configuration (a CLI convenience, like
     {!with_budget}). *)

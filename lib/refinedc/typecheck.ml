@@ -267,39 +267,3 @@ let body_digest (ftc : fn_to_check) : string =
     (Digest.string
        (Marshal.to_string ftc.func [ Marshal.No_sharing ]
        ^ "\x00" ^ invs_signature ftc.invs))
-
-(** The cache key for one function's check.  [specs_digest] covers the
-    specifications of *all* functions in the file: a call's premise
-    depends on the callee's spec, so any spec edit conservatively
-    invalidates the whole file's entries (bodies of siblings do not). *)
-let cache_key ~(session : Session.t) ~(specs_digest : string)
-    (ftc : fn_to_check) : string =
-  String.concat "\x00"
-    [
-      toolchain_fingerprint session;
-      specs_digest;
-      body_digest ftc;
-      Rtype.spec_signature ftc.spec;
-      budget_signature session.Session.budget;
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Whole-program checking                                              *)
-(* ------------------------------------------------------------------ *)
-
-type program_result = {
-  fn_results : (string * (E.result, Rc_lithium.Report.t) result) list;
-}
-
-let check_program ?(globals = []) ~(session : Session.t)
-    (fns : fn_to_check list) : program_result =
-  let specs = List.map (fun f -> (f.spec.fs_name, f.spec)) fns in
-  {
-    fn_results =
-      List.map
-        (fun f -> (f.spec.fs_name, check_fn ~globals ~session ~specs f))
-        fns;
-  }
-
-let all_ok (r : program_result) =
-  List.for_all (fun (_, res) -> Result.is_ok res) r.fn_results

@@ -2,7 +2,7 @@
     a transient-fault retry policy, whole-run deadlines and graceful
     degradation.
 
-    A supervisor spawns its domains {e once} — per CLI invocation or per
+    A supervisor spawns its domains {e once} — per check or per
     long-lived session — and feeds them batches through a shared work
     queue.  A task that crashes, times out or is skipped becomes a
     structured {!outcome} for that one item; completed results are
@@ -49,9 +49,10 @@
 
     Concurrency contract: one [run] at a time per supervisor (batches
     are not re-entrant); any number of supervisors may coexist.  The
-    handle is a resource owned by whoever created it — a CLI invocation,
-    a bench harness, a server session — and travels inside the
-    verification session like every other piece of configuration. *)
+    handle is a resource owned by whoever created it — the driver for
+    one check, a bench harness, a server session — and a persistent one
+    travels inside the verification session like every other piece of
+    configuration. *)
 
 val parallelism_available : bool
 (** [true] iff this build can actually run work items concurrently. *)
@@ -59,7 +60,7 @@ val parallelism_available : bool
 val recommended_jobs : unit -> int
 (** The number of workers the hardware can actually run concurrently
     (the runtime's recommended domain count; [1] on sequential builds).
-    Policy layers (the CLI, the driver, the bench harness) clamp a
+    Policy layers (the driver, the bench harness) clamp a
     requested [-j N] to this before sizing a pool: worker domains beyond
     the core count only add scheduling and GC-synchronisation overhead —
     on a single-core host a [-j 4] request degrades all the way to

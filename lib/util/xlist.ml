@@ -32,6 +32,14 @@ let rec assoc_update k v = function
   | (k', _) :: rest when k' = k -> (k, v) :: rest
   | kv :: rest -> kv :: assoc_update k v rest
 
+(** [index kvs] is a by-key table of an association list with
+    [List.assoc]'s semantics: the first binding of a key wins.  Build it
+    once and look up in constant time instead of scanning the list. *)
+let index (kvs : ('k * 'v) list) : ('k, 'v) Hashtbl.t =
+  let t = Hashtbl.create (max 16 (List.length kvs)) in
+  List.iter (fun (k, v) -> if not (Hashtbl.mem t k) then Hashtbl.add t k v) kvs;
+  t
+
 let sum = List.fold_left ( + ) 0
 
 let rec transpose = function

@@ -8,8 +8,7 @@
    callees (a call's premise reads the callee's spec; transitive callees
    are covered inductively), the rule-set fingerprint, the solver and
    lemma registry, registered type definitions, ablation switches, and
-   the resource budget.  With [~incremental:false] the key digests every
-   sibling spec instead (whole-file invalidation). *)
+   the resource budget. *)
 
 module Driver = Rc_frontend.Driver
 module Api = Rc_session.Refinedc_api
@@ -105,18 +104,7 @@ let cache_tests =
            at spec granularity; exhaustive cone tests live in
            test_incremental.ml) *)
         expect "after spec edit" ~hits:1 ~misses:1
-          (check ~cache src_spec_edit);
-        (* legacy whole-file keying (--no-incremental) still
-           conservatively invalidates everything: its key digests ALL
-           sibling specs *)
-        let legacy () = Api.create_session ~incremental:false () in
-        let cache2 = Rc_util.Vercache.create (fresh_cache_dir ()) in
-        expect "legacy cold" ~hits:0 ~misses:2
-          (check ~session:(legacy ()) ~cache:cache2 src);
-        expect "legacy warm hits" ~hits:2 ~misses:0
-          (check ~session:(legacy ()) ~cache:cache2 src);
-        expect "legacy spec edit misses everything" ~hits:0 ~misses:2
-          (check ~session:(legacy ()) ~cache:cache2 src_spec_edit));
+          (check ~cache src_spec_edit));
     Alcotest.test_case "rule-set change misses" `Quick (fun () ->
         let cache = Rc_util.Vercache.create (fresh_cache_dir ()) in
         expect "cold" ~hits:0 ~misses:2 (check ~cache src);
